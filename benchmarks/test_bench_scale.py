@@ -10,44 +10,30 @@ tractable in pure Python at thousands of switches):
   ``resource.getrusage`` so neither pytest nor sibling stages pollute
   the number.
 * **Zero-copy** — the same stage proves tables are never pickled back:
-  ``fabric.table_writes > 0`` and ``fabric.result_exports == 0`` (the
-  counter split of ``docs/observability.md``), and the consumer audit
-  reattaches the segment (``fabric.table_ctx_hits``) instead of
-  shipping bytes.
-* **Bit-identity** — the shm-resident tables hash to the same golden
-  blake2b digest as the store-off/pickle-transport path, pinned as a
-  constant so drift in either path fails loudly.
-
-``test_bench_scale_transport_speedup`` is the throughput claim: a
-multi-destination reachability sweep over a 2k-switch forwarding table
-on 4 workers must run >= 2x faster on the table-store path than with
-``REPRO_RESULT_TRANSPORT=pickle`` (which ships the full table to every
-worker per call).  Timing guards skip below 4 cores.
+  ``fabric.table_writes > 0`` with ``fabric.table_fallbacks == 0``,
+  and the consumer audit reattaches the segment
+  (``fabric.table_ctx_hits``) instead of shipping bytes.
+* **Bit-identity** — the fan-out's tables hash to the same golden
+  blake2b digest as a serial in-process run, pinned as a constant so
+  drift in either fails loudly.
 
 The 10k-switch end-to-end sweep (~10164 switches, minutes of pure
 Python) only runs when ``REPRO_SCALE_10K`` is set; CI's scale-smoke
 job runs the 2k proxy on every push.
 """
 
-import hashlib
 import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import needs_cores
 from repro.engine import fabric
-from repro.network.topologies.torus import torus
-from repro.resilience.engine import _reachable_pairs
-from repro.routing.dor import DORRouting
 
 WORKERS = 4
-MIN_SPEEDUP = 2.0
 
 #: the 2k proxy: 13x13x12 torus, 2028 switches / 4056 nodes, sweep
 #: capped at 512 destination columns (a ~10 MB int32+int8 table)
@@ -66,7 +52,7 @@ RSS_BUDGET_10K_MB = 1536
 
 #: golden table digests (blake2b-128 over LE int32 next_channel bytes
 #: then int8 vl bytes) — DOR is deterministic integer arithmetic, so
-#: these pin bit-identity across worker counts, transports and PRs
+#: these pin bit-identity across worker counts and PRs
 GOLDEN_2K = "5e4208bbdf4ec157c05cf82d856ed476"
 GOLDEN_10K = "f85324157f0b6a92efc46a6ab54c07d5"
 
@@ -109,7 +95,7 @@ print(json.dumps({
 """
 
 
-def _run_stage(dims, n_dests, workers, env_overrides):
+def _run_stage(dims, n_dests, workers):
     """One sweep stage in a fresh subprocess; returns its JSON record.
 
     A subprocess per stage is what makes ``ru_maxrss`` trustworthy:
@@ -117,10 +103,7 @@ def _run_stage(dims, n_dests, workers, env_overrides):
     whatever pytest already mapped.
     """
     env = dict(os.environ)
-    env.pop("REPRO_RESULT_TRANSPORT", None)
-    env.pop("REPRO_TABLE_STORE", None)
     env.pop("REPRO_WORKERS", None)
-    env.update(env_overrides)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     args = json.dumps([list(dims), n_dests, workers, SEED])
@@ -140,47 +123,34 @@ def _fresh_fabric():
     fabric.shutdown()
 
 
-def _best_of(fn, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _sweep_stages(benchmark, dims, n_dests, golden, budget_mb, workers):
-    shm = _run_stage(dims, n_dests, workers, {})
-    pickled = _run_stage(dims, n_dests, 1,
-                         {"REPRO_RESULT_TRANSPORT": "pickle",
-                          "REPRO_TABLE_STORE": "0"})
+    shm = _run_stage(dims, n_dests, workers)
+    serial = _run_stage(dims, n_dests, 1)
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info.update({
         "switches": int(np.prod(dims)),
         "dests": n_dests,
         "maxrss_shm_mb": shm["maxrss_mb"],
-        "maxrss_pickle_mb": pickled["maxrss_mb"],
+        "maxrss_serial_mb": serial["maxrss_mb"],
         "table_writes": shm["counters"].get("fabric.table_writes", 0),
-        "result_exports": shm["counters"].get("fabric.result_exports", 0),
         "table_ctx_hits": shm["counters"].get("fabric.table_ctx_hits", 0),
         "digest": shm["digest"],
     })
 
     # zero-copy: every worker landed its columns in the table segment,
-    # nothing rode a result scratch segment back to the parent
+    # none returned its block by value
     assert shm["shm_backed"], "table store did not engage"
     assert shm["counters"].get("fabric.table_writes", 0) >= workers
-    assert shm["counters"].get("fabric.result_exports", 0) == 0
+    assert shm["counters"].get("fabric.table_fallbacks", 0) == 0
     # the consumer audit reattached the segment instead of copying
     assert shm["counters"].get("fabric.table_ctx_hits", 0) >= 1
     assert shm["counters"].get("fabric.net_pickle_fallbacks", 0) == 0
     # the audit itself saw fully-populated tables
     assert shm["reachable"] == shm["total"] > 0
 
-    # bit-identity: shm-resident fan-out == store-off serial == golden
-    assert not pickled["shm_backed"]
-    assert shm["digest"] == pickled["digest"] == golden
+    # bit-identity: pool fan-out == serial in-process == golden
+    assert shm["digest"] == serial["digest"] == golden
 
     # bounded memory
     assert shm["maxrss_mb"] <= budget_mb, (
@@ -204,55 +174,3 @@ def test_bench_scale_10k_sweep(benchmark):
     workers = min(WORKERS, max(2, os.cpu_count() or 1))
     _sweep_stages(benchmark, DIMS_10K, DESTS_10K, GOLDEN_10K,
                   RSS_BUDGET_10K_MB, workers)
-
-
-@needs_cores
-def test_bench_scale_transport_speedup(benchmark):
-    """Multi-destination sweep >= 2x on the table-store path.
-
-    The consumer is the column-streaming reachability audit over a
-    2k-switch DOR table.  On the shm path the audit's context packs to
-    a table ticket (no table bytes move); with
-    ``REPRO_RESULT_TRANSPORT=pickle`` every pool submission ships the
-    full ~10 MB table through the pipe, once per worker per call.
-    """
-    net = torus(DIMS_2K, 1)
-    dests = list(net.terminals)[:DESTS_2K]
-
-    fabric.shutdown()
-    os.environ.pop("REPRO_RESULT_TRANSPORT", None)
-    try:
-        routed = DORRouting(workers=WORKERS).route(net, seed=SEED,
-                                                   dests=dests)
-        assert routed.shm_backed
-        _reachable_pairs(routed, workers=WORKERS)  # warm pool + export
-        shm_s = _best_of(
-            lambda: _reachable_pairs(routed, workers=WORKERS))
-        expected = _reachable_pairs(routed, workers=WORKERS)
-
-        # private-array twin of the same tables, transport forced to
-        # pickle; the pool must respawn *after* the env flip (forked
-        # workers read the environment exactly once)
-        private = routed.materialize()
-        fabric.shutdown()
-        os.environ["REPRO_RESULT_TRANSPORT"] = "pickle"
-        _reachable_pairs(private, workers=WORKERS)  # warm pool
-        pickle_s = _best_of(
-            lambda: _reachable_pairs(private, workers=WORKERS))
-        assert _reachable_pairs(private, workers=WORKERS) == expected
-    finally:
-        os.environ.pop("REPRO_RESULT_TRANSPORT", None)
-        fabric.shutdown()
-
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info.update({
-        "pickle_s": round(pickle_s, 4),
-        "shm_s": round(shm_s, 4),
-        "speedup": round(pickle_s / shm_s, 2),
-    })
-    assert shm_s > 0
-    assert pickle_s / shm_s >= MIN_SPEEDUP, (
-        f"table transport too slow: {pickle_s:.3f}s pickled vs "
-        f"{shm_s:.3f}s shm on {WORKERS} workers "
-        f"({pickle_s / shm_s:.2f}x < {MIN_SPEEDUP}x)"
-    )

@@ -39,13 +39,13 @@ def main() -> None:
 
             # ... equals the in-process facade, bit for bit
             local = route(request)
-            assert remote.next_channel == local.next_channel
-            assert remote.vl == local.vl
+            assert (remote.next_channel == local.next_channel).all()
+            assert (remote.vl == local.vl).all()
             print("route: RPC tables are bit-identical to the facade")
 
             # 2. repeat: served from the daemon's route cache
             again = client.route(request)
-            assert again.next_channel == remote.next_channel
+            assert (again.next_channel == remote.next_channel).all()
 
             # 3. analyze on top of the same (cached) routing
             report = client.analyze(AnalyzeRequest(route=request))

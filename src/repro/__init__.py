@@ -47,7 +47,6 @@ from repro.routing import (
     FatTreeRouting,
     LASHRouting,
     DFSSSPRouting,
-    algorithm_registry,
     available_algorithms,
     make_algorithm,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "FatTreeRouting",
     "LASHRouting",
     "DFSSSPRouting",
-    "algorithm_registry",
     "validate_routing",
     "is_deadlock_free",
     "required_vcs",

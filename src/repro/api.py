@@ -26,8 +26,8 @@ Stability policy
 Names exported here (the ``__all__`` of this module) are the
 library's *stable surface*: they follow semantic versioning — removals
 or signature breaks only with a major version bump, deprecations keep
-a shimmed fallback for one minor release (see
-:func:`repro.routing.algorithm_registry` for the pattern).  Everything
+a shimmed fallback for one minor release (``docs/api.md`` lists what
+the current release removed).  Everything
 else in the package — any ``repro.*`` submodule path not re-exported
 here — is internal: importable, useful for advanced work, but free to
 move between releases.  ``tests/test_public_api.py`` pins a snapshot
@@ -76,10 +76,7 @@ service (typed requests)     :class:`RouteRequest` /
                              :class:`ServiceOverloaded` — one typed
                              surface for in-process calls and the
                              ``repro serve`` RPC daemon
-                             (``docs/service.md``); the legacy kwargs
-                             forms warn ``DeprecationWarning`` for one
-                             minor release (migration table in
-                             ``docs/api.md``)
+                             (``docs/service.md``)
 reconfiguration              :func:`check_compatibility`,
                              :func:`plan_transition`,
                              :func:`apply_plan`, :func:`verify_plan`,

@@ -242,13 +242,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service.core import RoutingService, _serve_forever
-    from repro.service.protocol import available_codecs
 
-    if args.codec not in available_codecs():
-        print(f"codec {args.codec!r} not available here "
-              f"(have: {', '.join(available_codecs())})",
-              file=sys.stderr)
-        return 2
     if not obs.enabled():
         # the status RPC serves counters/spans; keep aggregates even
         # without --trace/--profile/--status
@@ -259,7 +253,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         workers=args.workers,
         cache=not args.no_cache,
-        codec=args.codec,
     )
 
     def on_bound(bound: List[str]) -> None:
@@ -530,10 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(port 0 = ephemeral, printed on start) or "
                         "unix:///path.sock "
                         "[default: tcp://127.0.0.1:7469]")
-    v.add_argument("--codec", default="json",
-                   help="default wire codec (json; msgpack when "
-                        "installed — responses always answer in the "
-                        "request's codec)")
     v.add_argument("--workers", type=int, default=None,
                    help="engine parallelism per request "
                         "(0 = all cores); requests may override")

@@ -213,10 +213,10 @@ def _route_layer(
     TableHandle`, the layer's column block is written **directly into
     the shm-resident table** at the full-table column indices ``cols``
     (``fabric.table_writes``) and the returned block is None — no
-    table bytes ride the result pipe, so ``fabric.result_exports``
-    stays zero.  Without a handle (store disabled, or the segment
-    unattachable) the block returns as before and the parent scatters
-    it.  Either way the values are bit-identical: the block is staged
+    table bytes ride the result pipe.  Without a handle (no segment
+    could be allocated, or it cannot be attached) the block returns in
+    the task result and the parent scatters it.  Either way the values
+    are bit-identical: the block is staged
     and filled locally by the exact same batched kernel.  The spawned
     ``layer_seed`` is carried for forward compatibility — no current
     layer computation draws from it.
@@ -299,13 +299,12 @@ class NueRouting(RoutingAlgorithm):
         parts, layer_seeds = plan_layers(net, dests, self.max_vls, cfg, seed)
         layer_cfg = _LayerConfig.from_config(cfg, single_layer=len(parts) == 1)
         dest_col = {d: j for j, d in enumerate(dests)}
-        # one writable /dev/shm segment for the whole request: workers
-        # land their layer's columns in place, the result is a
-        # zero-copy view (None = store disabled, private-table path)
+        # one writable table for the whole request: workers land their
+        # layer's columns in place and the result is a zero-copy view
+        # (handle None = no segment; workers then return their blocks)
         table = tablestore.create_table(net.n_nodes, len(dests))
-        handle = table.handle if table is not None else None
         tasks = [
-            (idx, list(subset), layer_seeds[idx], handle,
+            (idx, list(subset), layer_seeds[idx], table.handle,
              [dest_col[d] for d in subset])
             for idx, subset in enumerate(parts)
         ]
@@ -313,11 +312,6 @@ class NueRouting(RoutingAlgorithm):
             outcomes = run_layer_tasks(
                 _route_layer, (net, layer_cfg), tasks, workers=self.workers
             )
-
-            if table is not None:
-                nxt, vl = table.next_channel, table.vl
-            else:
-                nxt, vl = self._empty_tables(net, dests)
             stats: Dict[str, object] = {
                 "layers": [],
                 "fallbacks": 0,
@@ -334,8 +328,8 @@ class NueRouting(RoutingAlgorithm):
             for layer_idx, block, layer_stats in outcomes:
                 if block is not None:
                     cols = [dest_col[d] for d in parts[layer_idx]]
-                    nxt[:, cols] = block
-                    vl[:, cols] = layer_idx
+                    table.next_channel[:, cols] = block
+                    table.vl[:, cols] = layer_idx
                 stats["layers"].append(layer_stats)  # type: ignore[union-attr]
                 stats["fallbacks"] += layer_stats["fallbacks"]  # type: ignore[operator]
                 stats["islands_resolved"] += layer_stats["islands_resolved"]  # type: ignore[operator]
@@ -344,19 +338,18 @@ class NueRouting(RoutingAlgorithm):
         except BaseException:
             # KeyboardInterrupt / pool death mid-route: the segment
             # must not outlive the failed request
-            tablestore.release_table(table)
+            table.release()
             raise
 
         result = RoutingResult(
             net=net,
             dests=dests,
-            next_channel=nxt,
-            vl=vl,
+            next_channel=table.next_channel,
+            vl=table.vl,
             n_vls=len(parts),
             algorithm=self.name,
         )
-        if table is not None:
-            result.attach_table(table)
+        result.attach_table(table)
         result.stats = stats
         result.stats["fallback_rate"] = (
             stats["fallbacks"] / len(dests) if dests else 0.0  # type: ignore[operator]

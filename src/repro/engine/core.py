@@ -174,20 +174,13 @@ def _collect(fn: Callable[[Any, Any], Any], packed: Any,
     after ``BrokenProcessPool`` cannot double-count.
     """
     pool = fabric.get_pool(pool_workers)
-
-    def _land(res: Tuple[Any, List[dict]]) -> Tuple[Any, List[dict]]:
-        # large result arrays ride a worker scratch segment, copied
-        # out (and the segment unlinked) as each result arrives
-        result, events = res
-        return fabric.import_result(result), events
-
     try:
         futures = [
             pool.submit(fabric._run_fabric_task, fn, packed, task, capture)
             for task in tasks
         ]
         if live.active() is None:
-            return [_land(fut.result()) for fut in futures]
+            return [fut.result() for fut in futures]
         # live telemetry: fold streamed worker events into the parent
         # aggregates *while* the fan-out is in flight, so counters and
         # histograms advance before the last task returns
@@ -195,7 +188,7 @@ def _collect(fn: Callable[[Any, Any], Any], packed: Any,
         for fut in futures:
             while True:
                 try:
-                    results.append(_land(fut.result(timeout=0.05)))
+                    results.append(fut.result(timeout=0.05))
                     break
                 except FutureTimeout:
                     live.pump()

@@ -36,6 +36,11 @@ sweep) travel the same way: packed into one per-call *scratch* segment
 and unlinked by the engine right after the fan-out
 (:func:`release_ctx`).
 
+Results have one way back: the pool pickles a task's return value as
+is.  Forwarding columns are not part of it — workers write them in
+place into the request's table (:mod:`repro.engine.tablestore`) and
+return a block only when that table has no segment to attach.
+
 Destination sharding (:func:`shard_destinations`) is the companion
 decomposition helper: routing baselines and metrics sweeps split their
 per-destination work into ``~2 x workers`` contiguous shards executed
@@ -274,6 +279,15 @@ def release_network(ref) -> bool:
     return True
 
 
+def _close(shm) -> None:
+    """Unmap this process's view of a segment; the segment itself
+    stays until its owner unlinks it."""
+    try:
+        shm.close()
+    except (BufferError, OSError):
+        pass
+
+
 def _unlink(shm) -> None:
     # close and unlink independently so a close() failure can never
     # leave a /dev/shm entry behind.  close() unmaps this process's
@@ -281,14 +295,21 @@ def _unlink(shm) -> None:
     # why attach_network keeps its SharedMemory objects cached next to
     # the rehydrated networks); other processes' mappings stay valid
     # after unlink per POSIX.
-    try:
-        shm.close()
-    except (BufferError, OSError):
-        pass
+    _close(shm)
     try:
         shm.unlink()
     except (FileNotFoundError, OSError):  # pragma: no cover - races only
         pass
+
+
+def _map_layout(layout, shm, writable: bool) -> Dict[str, np.ndarray]:
+    """Views over a mapped segment, one per ``layout`` entry."""
+    arrays: Dict[str, np.ndarray] = {}
+    for key, dtype, shape, offset in layout:
+        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
+        arr.flags.writeable = writable
+        arrays[key] = arr
+    return arrays
 
 
 def active_exports() -> Dict[str, int]:
@@ -346,11 +367,7 @@ def _open_segment(name: str):
 
 def _rehydrate(handle: ShmNetworkHandle, shm) -> Network:
     """Rebuild a read-only Network + CSRView over mapped buffers."""
-    arrays: Dict[str, np.ndarray] = {}
-    for key, dtype, shape, offset in handle.layout:
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
-        arr.flags.writeable = False
-        arrays[key] = arr
+    arrays = _map_layout(handle.layout, shm, writable=False)
 
     net = Network.__new__(Network)
     net.name = handle.name
@@ -386,10 +403,7 @@ def attach_network(handle: ShmNetworkHandle) -> Network:
     net = _rehydrate(handle, shm)
     while len(_attached) >= _ATTACH_CAPACITY:
         _fp, (old_shm, _old_net) = _attached.popitem()
-        try:
-            old_shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        _close(old_shm)
     _attached[handle.fingerprint] = (shm, net)
     _count("fabric.shm_attaches")
     return net
@@ -400,20 +414,6 @@ def attach_network(handle: ShmNetworkHandle) -> Network:
 #: ndarray context members at or above this size travel via a scratch
 #: shm segment instead of being re-pickled once per task
 SCRATCH_MIN_BYTES = 256 * 1024
-
-#: ``REPRO_RESULT_TRANSPORT=pickle`` forces the degradation path that
-#: platforms without POSIX shared memory take implicitly: contexts and
-#: results cross the pipe as plain pickles (networks included), and no
-#: scratch or table segment is created.  The scale benchmarks use it as
-#: the deterministic pre-fabric comparator; everything else should
-#: leave it unset (``shm``, the default).
-RESULT_TRANSPORT_ENV_VAR = "REPRO_RESULT_TRANSPORT"
-
-
-def shm_transport() -> bool:
-    """False when ``REPRO_RESULT_TRANSPORT=pickle`` disables shm."""
-    raw = os.environ.get(RESULT_TRANSPORT_ENV_VAR, "shm")
-    return raw.strip().lower() != "pickle"
 
 
 class ShmArraysHandle:
@@ -497,99 +497,13 @@ def attach_arrays(handle: ShmArraysHandle) -> Dict[str, np.ndarray]:
         _attached_scratch.move_to_end(handle.segment)
         return ent[1]
     shm = _open_segment(handle.segment)
-    arrays: Dict[str, np.ndarray] = {}
-    for key, dtype, shape, offset in handle.layout:
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
-        arr.flags.writeable = False
-        arrays[key] = arr
+    arrays = _map_layout(handle.layout, shm, writable=False)
     while len(_attached_scratch) >= _SCRATCH_ATTACH_CAPACITY:
         _seg, (old_shm, _old) = _attached_scratch.popitem(last=False)
-        try:
-            old_shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        _close(old_shm)
     _attached_scratch[handle.segment] = (shm, arrays)
     _count("fabric.scratch_attaches")
     return arrays
-
-
-def export_result(result: Any) -> Any:
-    """Worker side: ship large result arrays via scratch shm.
-
-    The batched layer kernels return whole forwarding *blocks* (one
-    ``int32`` column per destination of the layer); at deployment
-    scale those dominate the result pickle.  Tuple members of
-    >= :data:`SCRATCH_MIN_BYTES` are copied into one worker-created
-    scratch segment and replaced by :class:`_ScratchArray` tickets; the
-    worker closes its own mapping immediately (the segment file
-    persists until unlinked), and the parent copies the arrays out and
-    unlinks in :func:`import_result`.  Any shm failure degrades to the
-    plain pickle path.
-    """
-    if not isinstance(result, tuple) or not shm_transport():
-        return result
-    big = {
-        i: item for i, item in enumerate(result)
-        if isinstance(item, np.ndarray) and item.nbytes >= SCRATCH_MIN_BYTES
-    }
-    if not big:
-        return result
-    global _scratch_seq
-    _scratch_seq += 1
-    try:
-        bufs = OrderedDict(
-            (f"r{i}", np.ascontiguousarray(arr)) for i, arr in big.items()
-        )
-        shm, layout = _alloc_segment(
-            bufs, f"{SEGMENT_PREFIX}res{_scratch_seq}")
-    except (OSError, ValueError):  # pragma: no cover - no shm
-        return result
-    handle = ShmArraysHandle(segment=shm.name, layout=tuple(layout))
-    try:
-        shm.close()  # data persists in the segment file until unlink
-    except (BufferError, OSError):  # pragma: no cover
-        pass
-    _count("fabric.result_exports")
-    packed = list(result)
-    for i in big:
-        packed[i] = _ScratchArray(handle, f"r{i}")
-    return tuple(packed)
-
-
-def import_result(result: Any) -> Any:
-    """Parent side: restore a result packed by :func:`export_result`.
-
-    Copies every scratch-shipped array into private memory and unlinks
-    the segment immediately — result segments are single-shot, not
-    cached.  Called per result as it arrives, so a later pool break
-    can only ever leak segments whose pickles never reached the
-    parent.
-    """
-    if not isinstance(result, tuple) or not any(
-        isinstance(item, _ScratchArray) for item in result
-    ):
-        return result
-    restored = list(result)
-    segments: Dict[str, Any] = {}
-    try:
-        for i, item in enumerate(result):
-            if not isinstance(item, _ScratchArray):
-                continue
-            shm = segments.get(item.handle.segment)
-            if shm is None:
-                shm = _open_segment(item.handle.segment)
-                segments[item.handle.segment] = shm
-            for key, dtype, shape, offset in item.handle.layout:
-                if key == item.key:
-                    arr = np.ndarray(shape, dtype=dtype,
-                                     buffer=shm.buf, offset=offset)
-                    restored[i] = arr.copy()
-                    break
-    finally:
-        for shm in segments.values():
-            _unlink(shm)
-    _count("fabric.result_imports")
-    return tuple(restored)
 
 
 # -- context packing ----------------------------------------------------------
@@ -597,13 +511,13 @@ def import_result(result: Any) -> Any:
 def pack_ctx(ctx: Any) -> Tuple[Any, int]:
     """Swap heavy engine-context members for shm tickets.
 
-    Two kinds of member are intercepted, bare or as direct members of
+    Three kinds of member are intercepted, bare or as direct members of
     a tuple context (the shapes every engine caller uses):
 
     * :class:`Network` values — swapped for a refcounted
       :class:`ShmNetworkHandle` (engine-owned LRU export);
     * ndarrays that *are* a live shm table's views (a
-      :class:`~repro.engine.tablestore.SharedTable` produced by a prior
+      :class:`~repro.engine.tablestore.RouteTable` produced by a prior
       route) — swapped for a zero-copy table ticket: nothing is copied
       at all, workers attach the existing segment read-only;
     * other ndarrays of >= :data:`SCRATCH_MIN_BYTES` — packed together
@@ -620,13 +534,6 @@ def pack_ctx(ctx: Any) -> Tuple[Any, int]:
     items = list(ctx) if isinstance(ctx, tuple) else [ctx]
     packed: List[Any] = list(items)
     fallbacks = 0
-    if not shm_transport():
-        fallbacks = sum(isinstance(item, Network) for item in items)
-        if fallbacks:
-            _count("fabric.net_pickle_fallbacks", fallbacks)
-        if isinstance(ctx, tuple):
-            return tuple(packed), fallbacks
-        return packed[0], fallbacks
     big = {}
     for i, item in enumerate(items):
         if not isinstance(item, np.ndarray) or \
@@ -649,7 +556,7 @@ def pack_ctx(ctx: Any) -> Tuple[Any, int]:
         try:
             handle = export_arrays(
                 {f"a{i}": arr for i, arr in big.items()})
-        except (OSError, ValueError):  # pragma: no cover - no shm
+        except (OSError, ValueError):  # no shm: arrays stay pickled
             handle = None
         if handle is not None:
             for i in big:
@@ -730,17 +637,14 @@ def _run_fabric_task(fn, ctx: Any, task: Any,
     rides back for replay.
     """
     if not capture_obs:
-        return export_result(fn(unpack_ctx(ctx), task)), []
+        return fn(unpack_ctx(ctx), task), []
     if live.worker_publisher() is not None:
-        result, events = live.run_streamed(fn, unpack_ctx(ctx), task)
-        return export_result(result), events
+        return live.run_streamed(fn, unpack_ctx(ctx), task)
     sink = MemorySink(keep_events=True)
     obs.reset()
     obs.enable(sink)
     try:
-        # export inside the capture window so the worker's
-        # ``fabric.result_exports`` tally replays into the parent
-        result = export_result(fn(unpack_ctx(ctx), task))
+        result = fn(unpack_ctx(ctx), task)
     finally:
         obs.disable()
     return result, sink.events
@@ -853,18 +757,12 @@ def shutdown(wait: bool = True) -> None:
         _unlink(ent.shm)
     for fp in list(_attached):
         shm, _net = _attached.pop(fp)
-        try:
-            shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        _close(shm)
     for name in list(_scratch):
         _unlink(_scratch.pop(name))
     for seg in list(_attached_scratch):
         shm, _arrays = _attached_scratch.pop(seg)
-        try:
-            shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        _close(shm)
 
 
 # -- destination sharding -----------------------------------------------------

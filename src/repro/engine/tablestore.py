@@ -3,10 +3,9 @@
 A routed network's forwarding state is a dense ``(n_nodes, n_dests)``
 ``int32`` next-channel matrix plus an ``int8`` virtual-layer matrix.
 At paper scale (Table 1 runs beyond 10k switches) that pair is the
-dominant allocation of a route — ~500 MB all-to-all — and before this
-module every layer's block crossed the worker pipe at least once
-(scratch copy out, copy in, scatter) before landing in yet another
-private allocation.
+dominant allocation of a route — ~500 MB all-to-all — and a layer
+block returned by value crosses the worker pipe as a pickle before
+the parent scatters it into yet another private allocation.
 
 The table store removes every one of those copies.  The parent
 preallocates **one** writable ``/dev/shm`` segment per route request
@@ -14,30 +13,33 @@ preallocates **one** writable ``/dev/shm`` segment per route request
 destination shard's columns straight into column-sliced views
 (:func:`write_columns` — counted as ``fabric.table_writes``), and the
 parent assembles the :class:`~repro.routing.base.RoutingResult` over
-zero-copy views of the very same mapping.  ``export_result`` never
-sees a table payload: with the store enabled, ``fabric.result_exports``
-stays at zero for routing fan-outs.
+zero-copy views of the very same mapping.
 
 Ownership is explicit and single-owner: the process that created a
-:class:`SharedTable` unlinks it — via ``RoutingResult.release()``, the
+:class:`RouteTable` unlinks it — via ``RoutingResult.release()``, the
 service LRU's eviction, :func:`repro.engine.fabric.shutdown` or
 ``atexit``, whichever comes first.  Consumers that need the data past
 the segment's life call ``RoutingResult.materialize()`` (one private
 copy, then release).  ``copy.deepcopy`` of a result detaches it from
 the store entirely (the engine route cache relies on this), and
-:func:`pin`/:func:`release` refcounting lets a long-lived holder (the
-RPC service's network LRU) keep a table resident across requests.
+:meth:`RouteTable.pin`/:meth:`RouteTable.release` refcounting lets a
+long-lived holder (the RPC service's network LRU) keep a table
+resident across requests.
 
-Everything degrades: ``REPRO_TABLE_STORE=0`` (or any shm allocation
-failure) falls back to the PR 5 scratch-segment result path with
-bit-identical output — the store only changes where bytes live.
+There is one fallback and the code observes its condition itself: when
+the segment cannot be allocated (no POSIX shm on the platform,
+``/dev/shm`` full), :func:`create_table` backs the same
+:class:`RouteTable` with private memory and ``handle`` is ``None``
+(``fabric.table_fallbacks``).  Callers run the same code either way;
+workers without a handle return their block in the task result and the
+parent merges it — bit-identical output, the store only changes where
+bytes live.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,35 +47,15 @@ from repro.engine import fabric
 from repro.obs import core as obs
 
 __all__ = [
-    "TABLE_STORE_ENV_VAR",
     "TableHandle",
     "TableTicket",
-    "SharedTable",
-    "enabled",
+    "RouteTable",
     "create_table",
     "write_columns",
     "attach_ticket",
     "ticket_for",
-    "release_table",
     "live_tables",
 ]
-
-#: ``REPRO_TABLE_STORE=0`` disables the store: routes fall back to the
-#: PR 5 private-table + scratch-result path (bit-identical output).
-TABLE_STORE_ENV_VAR = "REPRO_TABLE_STORE"
-
-_FALSEY = frozenset({"0", "false", "off", "no"})
-
-
-def enabled() -> bool:
-    """Whether routes should allocate shm-resident tables here.
-
-    On by default; ``REPRO_TABLE_STORE=0`` (or ``false``/``off``/
-    ``no``) opts out, and ``REPRO_RESULT_TRANSPORT=pickle`` — the
-    forced degradation mode — implies out.
-    """
-    raw = os.environ.get(TABLE_STORE_ENV_VAR, "1").strip().lower()
-    return raw not in _FALSEY and fabric.shm_transport()
 
 
 def _count(name: str, value: int = 1) -> None:
@@ -132,24 +114,27 @@ class TableTicket:
         self.handle, self.key = state
 
 
-class SharedTable:
-    """Parent-side owner of one shm-resident forwarding-table pair.
+class RouteTable:
+    """Parent-side owner of one forwarding-table pair.
 
-    ``next_channel`` and ``vl`` are writable views over the mapping;
-    hand them to a :class:`~repro.routing.base.RoutingResult` and the
-    result is zero-copy.  Lifetime is refcounted: creation holds one
+    ``next_channel`` and ``vl`` are writable ``(n_nodes, n_dests)``
+    arrays; hand them to a :class:`~repro.routing.base.RoutingResult`
+    and the result is zero-copy.  Normally they are views over a shm
+    segment and ``handle`` is the picklable ticket workers attach;
+    when no segment could be allocated they are private arrays and
+    ``handle`` is ``None``.  Lifetime is refcounted: creation holds one
     reference (the route's), :meth:`pin` adds holders (the service
     LRU), :meth:`release` drops one and unlinks the segment at zero.
     """
 
     __slots__ = ("shm", "handle", "next_channel", "vl", "_refs")
 
-    def __init__(self, shm, handle: TableHandle) -> None:
+    def __init__(self, next_channel: np.ndarray, vl: np.ndarray,
+                 shm=None, handle: Optional[TableHandle] = None) -> None:
         self.shm = shm
         self.handle = handle
-        arrays = _map_arrays(handle, shm, writable=True)
-        self.next_channel = arrays["next_channel"]
-        self.vl = arrays["vl"]
+        self.next_channel = next_channel
+        self.vl = vl
         self._refs = 1
 
     @property
@@ -160,7 +145,7 @@ class SharedTable:
     def nbytes(self) -> int:
         return self.next_channel.nbytes + self.vl.nbytes
 
-    def pin(self) -> "SharedTable":
+    def pin(self) -> "RouteTable":
         """Add a holder (e.g. the service network LRU); returns self."""
         if self._refs <= 0:
             raise ValueError("cannot pin a released table")
@@ -172,16 +157,18 @@ class SharedTable:
 
         Idempotent past zero (releasing an already-unlinked table is a
         silent no-op, never a double unlink).  Returns True when this
-        call performed the unlink.
+        call dropped the last reference.  Private arrays stay valid
+        after release — only shm views die with their segment.
         """
         if self._refs <= 0:
             return False
         self._refs -= 1
         if self._refs > 0:
             return False
-        _tables.pop(self.handle.segment, None)
-        fabric._unlink(self.shm)
-        _count("fabric.table_releases")
+        if self.shm is not None:
+            _tables.pop(self.handle.segment, None)
+            fabric._unlink(self.shm)
+            _count("fabric.table_releases")
         return True
 
     def __deepcopy__(self, memo) -> None:
@@ -194,29 +181,20 @@ class SharedTable:
 
     def __reduce__(self):
         raise TypeError(
-            "SharedTable is process-local; pickle its .handle instead"
+            "RouteTable is process-local; pickle its .handle instead"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else f"refs={self._refs}"
-        return f"SharedTable({self.handle.segment!r}, {state})"
-
-
-def _map_arrays(handle: TableHandle, shm,
-                writable: bool) -> Dict[str, np.ndarray]:
-    arrays: Dict[str, np.ndarray] = {}
-    for key, dtype, shape, offset in handle.layout:
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
-        arr.flags.writeable = writable
-        arrays[key] = arr
-    return arrays
+        where = self.handle.segment if self.handle else "private"
+        return f"RouteTable({where!r}, {state})"
 
 
 #: parent-side registry of live owned tables: segment name -> table.
 #: :func:`repro.engine.fabric.shutdown` (and atexit behind it) drains
 #: it, so no table segment can outlive the process even when a caller
 #: forgot its release().
-_tables: Dict[str, SharedTable] = {}
+_tables: Dict[str, RouteTable] = {}
 #: monotonic per-process sequence folded into segment names so a new
 #: table can never reuse a released table's name — forked pool workers
 #: inherit the parent's ``_tables`` registry, and a name reuse would
@@ -225,33 +203,34 @@ _table_seq = 0
 
 
 def create_table(n_nodes: int, n_dests: int,
-                 tag: str = "") -> Optional[SharedTable]:
-    """Preallocate one writable table segment, or None to fall back.
+                 tag: str = "") -> RouteTable:
+    """One writable table for a route request, shm-resident if possible.
 
-    Returns None when the store is disabled (:func:`enabled`) or shm
-    allocation fails (``fabric.table_fallbacks``) — callers then build
-    private tables exactly as before PR 10.  ``next_channel`` starts
-    at -1 and ``vl`` at 0, matching
-    ``RoutingAlgorithm._empty_tables``.
+    ``next_channel`` starts at -1 and ``vl`` at 0, matching
+    ``RoutingAlgorithm._empty_tables``.  When the segment cannot be
+    allocated the table is backed by private arrays instead
+    (``handle is None``, ``fabric.table_fallbacks``); callers do not
+    branch on which one they got.
     """
     global _table_seq
-    if not enabled():
-        return None
+    shape = (n_nodes, n_dests)
     specs = [
-        ("next_channel", np.dtype(np.int32).str, (n_nodes, n_dests)),
-        ("vl", np.dtype(np.int8).str, (n_nodes, n_dests)),
+        ("next_channel", np.dtype(np.int32).str, shape),
+        ("vl", np.dtype(np.int8).str, shape),
     ]
     _table_seq += 1
     base = f"{fabric.SEGMENT_PREFIX}tbl{_table_seq}" + \
         (f"_{tag}" if tag else "")
     try:
         shm, layout = fabric._alloc_raw(specs, base)
-    except (OSError, ValueError):
+    except (OSError, ValueError, ImportError):
         _count("fabric.table_fallbacks")
-        return None
+        return RouteTable(np.full(shape, -1, dtype=np.int32),
+                          np.zeros(shape, dtype=np.int8))
     handle = TableHandle(segment=shm.name, n_nodes=n_nodes,
                          n_dests=n_dests, layout=tuple(layout))
-    table = SharedTable(shm, handle)
+    arrays = fabric._map_layout(layout, shm, writable=True)
+    table = RouteTable(arrays["next_channel"], arrays["vl"], shm, handle)
     # fresh /dev/shm pages are zero-filled, so only next_channel's -1
     # sentinel needs writing; vl's zeros are already in place
     table.next_channel.fill(-1)
@@ -259,11 +238,6 @@ def create_table(n_nodes: int, n_dests: int,
     fabric._register_cleanup()
     _count("fabric.table_creates")
     return table
-
-
-def release_table(table: Optional[SharedTable]) -> bool:
-    """``table.release()`` that tolerates None (fallback-path callers)."""
-    return table.release() if table is not None else False
 
 
 def live_tables() -> Dict[str, Tuple[int, int]]:
@@ -309,13 +283,10 @@ def _attach(handle: TableHandle) -> Dict[str, np.ndarray]:
         _attached_tables.move_to_end(handle.segment)
         return ent[1]
     shm = fabric._open_segment(handle.segment)
-    arrays = _map_arrays(handle, shm, writable=True)
+    arrays = fabric._map_layout(handle.layout, shm, writable=True)
     while len(_attached_tables) >= _TABLE_ATTACH_CAPACITY:
         _seg, (old_shm, _old) = _attached_tables.popitem(last=False)
-        try:
-            old_shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        fabric._close(old_shm)
     _attached_tables[handle.segment] = (shm, arrays)
     _count("fabric.table_attaches")
     return arrays
@@ -378,10 +349,7 @@ def _shutdown_tables() -> None:
             fabric._unlink(table.shm)
     for seg in list(_attached_tables):
         shm, _arrays = _attached_tables.pop(seg)
-        try:
-            shm.close()
-        except (BufferError, OSError):  # pragma: no cover
-            pass
+        fabric._close(shm)
 
 
 def table_stats() -> Dict[str, int]:

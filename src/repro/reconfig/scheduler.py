@@ -330,29 +330,21 @@ def apply_plan(
             cols.append(old.next_channel[:, j])
             vls.append(old.vl[:, j])
     # a transition already holds the old and new tables live at once;
-    # the mixed state lands in its own shm table segment (column-wise
-    # writes, no np.stack staging copy) when the store is enabled
+    # the mixed state lands in its own table (column-wise writes, no
+    # np.stack staging copy)
     table = tablestore.create_table(new.net.n_nodes, len(dests))
-    if table is not None:
-        nxt, vl = table.next_channel, table.vl
-        for j, (c, v) in enumerate(zip(cols, vls)):
-            nxt[:, j] = c
-            vl[:, j] = v
-    else:
-        nxt = (np.stack(cols, axis=1).astype(np.int32) if cols
-               else np.empty((new.net.n_nodes, 0), dtype=np.int32))
-        vl = (np.stack(vls, axis=1).astype(np.int8) if vls
-              else np.empty((new.net.n_nodes, 0), dtype=np.int8))
+    for j, (c, v) in enumerate(zip(cols, vls)):
+        table.next_channel[:, j] = c
+        table.vl[:, j] = v
     mixed = RoutingResult(
         net=new.net,
         dests=dests,
-        next_channel=nxt,
-        vl=vl,
+        next_channel=table.next_channel,
+        vl=table.vl,
         n_vls=max(old.n_vls, new.n_vls),
         algorithm=f"transition({old.algorithm}->{new.algorithm})",
     )
-    if table is not None:
-        mixed.attach_table(table)
+    mixed.attach_table(table)
     return mixed
 
 

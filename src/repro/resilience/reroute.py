@@ -114,9 +114,9 @@ def _repair_layer(
     prior block from the shm mapping itself* (``cols`` are the layer's
     full-table column indices), adopts the clean columns — which stay
     resident, an adoption is now an shm no-op — and writes only the
-    recomputed dirty columns back (``fabric.table_writes``).  The
-    block-shipping path (``handle is None``) remains for the store-off
-    fallback, bit-identical.
+    recomputed dirty columns back (``fabric.table_writes``).  When
+    the table has no segment (``handle is None``) the prior block
+    rides the task and the repaired block the result, bit-identical.
     """
     net, cfg, failed = ctx
     layer_idx, subset, block, dirty_flags, handle, cols = task
@@ -220,15 +220,14 @@ def incremental_reroute(
     layer_cfg = _LayerConfig.from_config(cfg, single_layer=len(parts) == 1)
     failed_list = sorted(failed)
 
-    # the repaired tables get their own shm segment, prefilled with the
+    # the repaired tables get their own table, prefilled with the
     # prior columns: retained (adopted) columns are thereby already
     # final in place, and repair workers stage their prior block from
-    # the mapping instead of receiving it in the task pickle
+    # the shm mapping instead of receiving it in the task pickle
+    # (which carries it only when the table has no segment to attach)
     table = tablestore.create_table(net.n_nodes, len(prior.dests))
-    if table is not None:
-        table.next_channel[...] = prior.next_channel
-        table.vl[...] = prior.vl
-    handle = table.handle if table is not None else None
+    table.next_channel[...] = prior.next_channel
+    table.vl[...] = prior.vl
 
     tasks = []
     for idx, subset in enumerate(parts):
@@ -236,26 +235,19 @@ def incremental_reroute(
         if not any(flags):
             continue
         cols = [prior.dest_index(d) for d in subset]
-        block = None if table is not None else \
+        block = None if table.handle is not None else \
             np.ascontiguousarray(prior.next_channel[:, cols])
-        tasks.append((idx, list(subset), block, flags, handle, cols))
+        tasks.append((idx, list(subset), block, flags, table.handle, cols))
 
     try:
         outcomes = run_layer_tasks(
             _repair_layer, (net, layer_cfg, failed_list), tasks,
             workers=workers,
         )
-
-        if table is not None:
-            nxt = table.next_channel
-            vl = table.vl
-        else:
-            nxt = np.array(prior.next_channel, copy=True)
-            vl = np.array(prior.vl, copy=True)
         for layer_idx, new_block, layer_stats in outcomes:
             if new_block is not None:
                 cols = [prior.dest_index(d) for d in parts[layer_idx]]
-                nxt[:, cols] = new_block
+                table.next_channel[:, cols] = new_block
             stats["layers_repaired"] += 1  # type: ignore[operator]
             stats["dests_recomputed"] += layer_stats["recomputed"]  # type: ignore[operator]
             stats["fallbacks"] += layer_stats["fallbacks"]  # type: ignore[operator]
@@ -263,22 +255,21 @@ def incremental_reroute(
         # disconnected survivor fabric (spanning tree) or a retained
         # column that cannot be re-marked: incremental repair cannot
         # keep its guarantees here
-        tablestore.release_table(table)
+        table.release()
         raise IncrementalNotApplicable(str(exc)) from exc
     except BaseException:
-        tablestore.release_table(table)
+        table.release()
         raise
 
     repaired = RoutingResult(
         net=net,
         dests=list(prior.dests),
-        next_channel=nxt,
-        vl=vl,
+        next_channel=table.next_channel,
+        vl=table.vl,
         n_vls=prior.n_vls,
         algorithm=prior.algorithm,
     )
-    if table is not None:
-        repaired.attach_table(table)
+    repaired.attach_table(table)
     repaired.stats = {
         "repair": dict(stats),
         "parent_stats": prior.stats,

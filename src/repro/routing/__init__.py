@@ -55,35 +55,4 @@ __all__ = [
     "register",
     "available_algorithms",
     "algorithm_descriptions",
-    "algorithm_registry",
 ]
-
-#: the names the pre-registry ``algorithm_registry()`` helper returned
-#: (every baseline; Nue was "added by repro.core")
-BASELINE_NAMES = (
-    "minhop", "updn", "dnup", "dor", "torus-2qos", "ftree", "lash",
-    "dfsssp",
-)
-
-
-def algorithm_registry(max_vls: int = 8) -> dict:
-    """Deprecated shim: name -> instance for every baseline.
-
-    Superseded by :func:`repro.api.make_algorithm` (which also
-    constructs Nue, validates configuration eagerly, and threads the
-    engine's ``workers``/``cache`` knobs through).  Kept so existing
-    call sites continue to work; delegates to the registry.
-    """
-    import warnings
-
-    warnings.warn(
-        "algorithm_registry() is deprecated; use "
-        "repro.api.make_algorithm(name, max_vls=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import make_algorithm as _make
-
-    return {
-        name: _make(name, max_vls) for name in BASELINE_NAMES
-    }

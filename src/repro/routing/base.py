@@ -89,10 +89,12 @@ class RoutingResult:
     # -- shm table ownership (PR 10) ------------------------------------------
 
     def attach_table(self, table) -> None:
-        """Adopt ownership of the backing shm table segment.
+        """Adopt ownership of the backing table.
 
-        Called by algorithms whose ``next_channel``/``vl`` are views of
-        a :class:`~repro.engine.tablestore.SharedTable`.  Ownership is
+        Called by algorithms whose ``next_channel``/``vl`` are the
+        arrays of a :class:`~repro.engine.tablestore.RouteTable` (shm
+        views, or private arrays when no segment could be allocated —
+        then every method below is a no-op).  Ownership is
         single and explicit: whoever holds the result calls
         :meth:`release` (or :meth:`materialize`) when done; the fabric's
         ``shutdown``/``atexit`` sweep is the backstop.  A ``deepcopy``
@@ -105,7 +107,8 @@ class RoutingResult:
     def shm_backed(self) -> bool:
         """Whether the tables are views of a live shm table segment."""
         table = getattr(self, "_table", None)
-        return table is not None and not table.closed
+        return table is not None and table.handle is not None \
+            and not table.closed
 
     def release(self) -> None:
         """Release the backing shm segment, if any (idempotent).
@@ -137,10 +140,10 @@ class RoutingResult:
         Returns self.  Use when a result must outlive the fabric (e.g.
         it is handed to code that cannot see the release contract).
         """
-        if getattr(self, "_table", None) is not None:
+        if self.shm_backed:
             self.next_channel = np.array(self.next_channel, copy=True)
             self.vl = np.array(self.vl, copy=True)
-            self.release()
+        self.release()
         return self
 
     def next_hop_channel(self, node: int, dest: int) -> int:

@@ -128,8 +128,8 @@ def _dor_columns(
     shared across destinations — so shard boundaries cannot change the
     output and the merged table is bit-identical to the serial sweep.
     The block is written straight into the parent's shm table segment
-    when one exists (returning ``None``); only the no-store fallback
-    returns the array itself.
+    when one exists (returning ``None``); without a handle the array
+    itself returns and the parent merges it.
     """
     net, handle = ctx
     dest_shard, col0 = shard
@@ -180,37 +180,32 @@ class DORRouting(RoutingAlgorithm):
         workers = resolve_workers(self.workers, len(dests))
         raw_shards = shard_destinations(dests, workers)
         # column-offset shards so workers can scatter straight into the
-        # request's shm table segment (None = store disabled)
+        # request's table segment (handle None = no segment allocated)
         table = tablestore.create_table(net.n_nodes, len(dests))
-        handle = table.handle if table is not None else None
         shards: List[Tuple[Sequence[int], int]] = []
         col = 0
         for shard in raw_shards:
             shards.append((shard, col))
             col += len(shard)
         try:
-            blocks = run_layer_tasks(_dor_columns, (net, handle), shards,
-                                     workers=workers)
-            if table is not None:
-                nxt, vl = table.next_channel, table.vl
-            else:
-                nxt, vl = self._empty_tables(net, dests)
+            blocks = run_layer_tasks(_dor_columns, (net, table.handle),
+                                     shards, workers=workers)
             for (shard, col0), block in zip(shards, blocks):
-                if block is not None:  # no-store fallback: merge here
-                    nxt[:, col0:col0 + block.shape[1]] = block
+                if block is not None:  # not written in place: merge here
+                    table.next_channel[:, col0:col0 + block.shape[1]] = \
+                        block
         except BaseException:
             # KeyboardInterrupt / pool death mid-route: the segment
             # must not outlive the failed request
-            tablestore.release_table(table)
+            table.release()
             raise
         result = RoutingResult(
             net=net,
             dests=dests,
-            next_channel=nxt,
-            vl=vl,
+            next_channel=table.next_channel,
+            vl=table.vl,
             n_vls=1,
             algorithm=self.name,
         )
-        if table is not None:
-            result.attach_table(table)
+        result.attach_table(table)
         return result

@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional
 from repro.service import comm as comms
 from repro.service.protocol import ServiceClosed, wire_to_error
 from repro.service.requests import (
+    OPS,
     AnalyzeRequest,
     AnalyzeResponse,
     CampaignRequest,
@@ -48,10 +49,9 @@ DEFAULT_TIMEOUT_S = 300.0
 class AsyncServiceClient:
     """One multiplexed connection to a routing daemon."""
 
-    def __init__(self, address: str, codec: str = "json",
+    def __init__(self, address: str,
                  connect_timeout: float = 10.0) -> None:
         self.address = address
-        self.codec = codec
         self.connect_timeout = connect_timeout
         self._comm: Optional[comms.Comm] = None
         self._reader: Optional[asyncio.Task] = None
@@ -69,8 +69,7 @@ class AsyncServiceClient:
         if self._comm is not None and not self._comm.closed:
             return
         self._comm = await comms.connect(
-            self.address, codec=self.codec,
-            timeout=self.connect_timeout)
+            self.address, timeout=self.connect_timeout)
         self._reader = asyncio.ensure_future(self._read_loop())
 
     async def close(self) -> None:
@@ -131,36 +130,41 @@ class AsyncServiceClient:
 
     # -- typed ops ------------------------------------------------------------
 
+    async def _typed_call(self, op: str, request: Any,
+                          timeout: float) -> Any:
+        """Send ``op``'s typed request, rebuild its typed response
+        (:data:`~repro.service.requests.OPS` pairs the classes).
+        Tables travel as binary buffers both ways."""
+        _request_cls, response_cls, _executor = OPS[op]
+        result = await self.call(
+            op, request.to_dict(tables="binary"), timeout)
+        return response_cls.from_dict(result)
+
     async def route(self, request: RouteRequest,
                     timeout: float = DEFAULT_TIMEOUT_S) -> RouteResponse:
-        result = await self.call("route", request.to_dict(), timeout)
-        return RouteResponse.from_dict(result)
+        return await self._typed_call("route", request, timeout)
 
     async def analyze(self, request: AnalyzeRequest,
                       timeout: float = DEFAULT_TIMEOUT_S
                       ) -> AnalyzeResponse:
         if isinstance(request, RouteRequest):
             request = AnalyzeRequest(route=request)
-        result = await self.call("analyze", request.to_dict(), timeout)
-        return AnalyzeResponse.from_dict(result)
+        return await self._typed_call("analyze", request, timeout)
 
     async def campaign(self, request: CampaignRequest,
                        timeout: float = DEFAULT_TIMEOUT_S
                        ) -> CampaignResponse:
-        result = await self.call("campaign", request.to_dict(), timeout)
-        return CampaignResponse.from_dict(result)
+        return await self._typed_call("campaign", request, timeout)
 
     async def reroute(self, request: RerouteRequest,
                       timeout: float = DEFAULT_TIMEOUT_S
                       ) -> RerouteResponse:
-        result = await self.call("reroute", request.to_dict(), timeout)
-        return RerouteResponse.from_dict(result)
+        return await self._typed_call("reroute", request, timeout)
 
     async def transition(self, request: TransitionRequest,
                          timeout: float = DEFAULT_TIMEOUT_S
                          ) -> TransitionResponse:
-        result = await self.call("transition", request.to_dict(), timeout)
-        return TransitionResponse.from_dict(result)
+        return await self._typed_call("transition", request, timeout)
 
     async def status(self, timeout: float = 30.0) -> Dict[str, Any]:
         return await self.call("status", timeout=timeout)
@@ -177,11 +181,11 @@ class ServiceClient:
     ...     response = client.route(RouteRequest(topology=net))
     """
 
-    def __init__(self, address: str, codec: str = "json",
+    def __init__(self, address: str,
                  connect_timeout: float = 10.0) -> None:
         self.address = address
         self._async = AsyncServiceClient(
-            address, codec=codec, connect_timeout=connect_timeout)
+            address, connect_timeout=connect_timeout)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever,
@@ -252,10 +256,10 @@ class ServiceClient:
         return self._run(self._async.ping(timeout), timeout)
 
 
-def watch_snapshot(address: str, codec: str = "json") -> Dict[str, Any]:
+def watch_snapshot(address: str) -> Dict[str, Any]:
     """One status snapshot from a remote daemon (used by ``repro obs``
     when the status argument is a service address, not a file)."""
-    with ServiceClient(address, codec=codec) as client:
+    with ServiceClient(address) as client:
         return client.status()
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import importlib
 from typing import Any, Awaitable, Callable, Dict, Tuple
 
-from repro.service.protocol import ServiceClosed, get_codec
+from repro.service.protocol import ServiceClosed
 
 __all__ = [
     "Comm",
@@ -78,9 +78,9 @@ class Listener:
         raise NotImplementedError
 
 
-#: scheme -> module implementing ``connect_(rest, codec)`` and
-#: ``listen_(rest, handler, codec)``; imported on first use so the tcp
-#: machinery never loads for inproc-only test runs
+#: scheme -> module implementing ``connect_(scheme, rest, timeout)``
+#: and ``listen_(scheme, rest, handler)``; imported on first use so the
+#: tcp machinery never loads for inproc-only test runs
 _BACKENDS: Dict[str, str] = {
     "inproc": "repro.service.inproc",
     "tcp": "repro.service.tcp",
@@ -108,17 +108,13 @@ def _backend(scheme: str):
     return importlib.import_module(_BACKENDS[scheme])
 
 
-async def connect(address: str, codec: str = "json",
-                  timeout: float = 10.0) -> Comm:
+async def connect(address: str, timeout: float = 10.0) -> Comm:
     """Open a comm to a listening service at ``address``."""
     scheme, rest = parse_address(address)
-    return await _backend(scheme).connect_(
-        scheme, rest, get_codec(codec), timeout)
+    return await _backend(scheme).connect_(scheme, rest, timeout)
 
 
-async def listen(address: str, handler: Handler,
-                 codec: str = "json") -> Listener:
+async def listen(address: str, handler: Handler) -> Listener:
     """Bind ``address`` and serve ``handler(comm)`` per connection."""
     scheme, rest = parse_address(address)
-    return await _backend(scheme).listen_(
-        scheme, rest, handler, get_codec(codec))
+    return await _backend(scheme).listen_(scheme, rest, handler)

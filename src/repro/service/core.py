@@ -55,18 +55,7 @@ from repro.service.protocol import (
     ServiceOverloaded,
     error_to_wire,
 )
-from repro.service.requests import (
-    AnalyzeRequest,
-    CampaignRequest,
-    RerouteRequest,
-    RouteRequest,
-    TransitionRequest,
-    execute_analyze,
-    execute_campaign,
-    execute_reroute,
-    execute_route,
-    execute_transition,
-)
+from repro.service.requests import OPS
 
 __all__ = ["RoutingService", "serve_in_thread"]
 
@@ -173,20 +162,22 @@ class RoutingService:
     cache:
         Install the engine route memo cache so repeated identical
         requests are served from memory even when not concurrent.
-    codec:
-        Default wire codec for listeners (responses always answer in
-        the codec the request arrived in).
     """
 
     def __init__(self, max_networks: int = 8, max_pending: int = 32,
                  concurrency: int = 2, workers: Optional[int] = None,
-                 cache: bool = True, codec: str = "json") -> None:
+                 cache: bool = True) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
         self.max_pending = max_pending
         self.workers = workers
         self.cache = cache
-        self.codec = codec
+        #: what an op's executor takes beyond the request, ``workers``
+        #: and the prepared ``net``/``fingerprint``
+        self._executor_options: Dict[str, Dict[str, Any]] = {
+            "route": {"cache": cache, "on_table": self._pin_table},
+            "analyze": {"cache": cache},
+        }
         self._networks = _NetworkCache(max_networks)
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, concurrency),
@@ -214,8 +205,7 @@ class RoutingService:
                 enable_route_cache()
         self._unsubscribe = fabric.on_shutdown(self._on_fabric_shutdown)
         for address in addresses:
-            listener = await comms.listen(
-                address, self._handle_comm, codec=self.codec)
+            listener = await comms.listen(address, self._handle_comm)
             self._listeners.append(listener)
         return [listener.address for listener in self._listeners]
 
@@ -364,54 +354,19 @@ class RoutingService:
             return {"pong": True}
         if op == "status":
             return self._status()
-        if op == "route":
-            request = RouteRequest.from_dict(payload)
-            # v2 requests get tables as raw binary buffers; v1 peers
-            # keep the nested-list JSON form they were built against
-            tables = "binary" if request.schema_version >= 2 else "json"
-            response = await self._coalesced(
-                "route", request,
-                lambda net, fp: execute_route(
-                    request, workers=self.workers, cache=self.cache,
-                    net=net, fingerprint=fp, on_table=self._pin_table))
-            return response.to_dict(tables=tables)
-        if op == "analyze":
-            request = AnalyzeRequest.from_dict(payload)
-            response = await self._coalesced(
-                "analyze", request,
-                lambda net, fp: execute_analyze(
-                    request, workers=self.workers, cache=self.cache,
-                    net=net, fingerprint=fp))
-            return response.to_dict()
-        if op == "campaign":
-            request = CampaignRequest.from_dict(payload)
-            response = await self._coalesced(
-                "campaign", request,
-                lambda net, fp: execute_campaign(
-                    request, workers=self.workers, net=net,
-                    fingerprint=fp))
-            return response.to_dict()
-        if op == "reroute":
-            request = RerouteRequest.from_dict(payload)
-            tables = "binary" if request.schema_version >= 2 else "json"
-            response = await self._coalesced(
-                "reroute", request,
-                lambda net, fp: execute_reroute(
-                    request, workers=self.workers, net=net,
-                    fingerprint=fp))
-            return response.to_dict(tables=tables)
-        if op == "transition":
-            request = TransitionRequest.from_dict(payload)
-            tables = "binary" if request.schema_version >= 2 else "json"
-            response = await self._coalesced(
-                "transition", request,
-                lambda net, fp: execute_transition(
-                    request, workers=self.workers, net=net,
-                    fingerprint=fp))
-            return response.to_dict(tables=tables)
-        raise ServiceBadRequest(
-            f"unknown op {op!r}; known: route, analyze, campaign, "
-            f"reroute, transition, status, ping")
+        if op not in OPS:
+            raise ServiceBadRequest(
+                f"unknown op {op!r}; known: {', '.join(OPS)}, status, "
+                f"ping")
+        request_cls, _response_cls, executor = OPS[op]
+        request = request_cls.from_dict(payload)
+        options = self._executor_options.get(op, {})
+        response = await self._coalesced(
+            op, request,
+            lambda net, fp: executor(
+                request, workers=self.workers, net=net, fingerprint=fp,
+                **options))
+        return response.to_dict(tables="binary")
 
     def _status(self) -> Dict[str, Any]:
         snap = obs_snapshot()
@@ -428,10 +383,7 @@ class RoutingService:
         parsing a large fabric must not stall the event loop)."""
         from repro.engine.fingerprint import network_fingerprint
 
-        if isinstance(request, AnalyzeRequest):
-            net = request.route.network()
-        else:
-            net = request.network()
+        net = request.network()
         return net, network_fingerprint(net)
 
     async def _coalesced(

@@ -24,7 +24,7 @@ import threading
 from typing import Any, Dict, Optional
 
 from repro.service.comm import Comm, CommClosedError, Handler, Listener
-from repro.service.protocol import Codec, decode_frame, encode_frame
+from repro.service.protocol import decode_frame, encode_frame
 
 __all__ = ["InProcComm", "InProcListener"]
 
@@ -38,8 +38,7 @@ _conn_ids = itertools.count(1)
 class InProcComm(Comm):
     """One endpoint of an in-process comm pair."""
 
-    def __init__(self, codec: Codec, peer_name: str) -> None:
-        self._codec = codec
+    def __init__(self, peer_name: str) -> None:
         self._loop = asyncio.get_running_loop()
         self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
         self._peer: Optional["InProcComm"] = None
@@ -58,7 +57,7 @@ class InProcComm(Comm):
             raise CommClosedError(f"inproc comm to {self.peer} is closed")
         # encode/decode even in-process: the test transport must reject
         # exactly what the socket transports would
-        peer._deliver(encode_frame(msg, self._codec))
+        peer._deliver(encode_frame(msg))
 
     async def recv(self) -> Any:
         if self._closed:
@@ -87,11 +86,9 @@ class InProcComm(Comm):
 class InProcListener(Listener):
     """Registry entry accepting in-process connections."""
 
-    def __init__(self, address: str, handler: Handler,
-                 codec: Codec) -> None:
+    def __init__(self, address: str, handler: Handler) -> None:
         self.address = address
         self._handler = handler
-        self._codec = codec
         self._loop = asyncio.get_running_loop()
         self._stopped = False
 
@@ -105,8 +102,7 @@ class InProcListener(Listener):
 
         def make_server() -> None:
             try:
-                server = InProcComm(
-                    self._codec, f"{self.address}#client{conn_id}")
+                server = InProcComm(f"{self.address}#client{conn_id}")
                 server._peer = client
                 client._peer = server
                 server_box["comm"] = server
@@ -138,17 +134,17 @@ class InProcListener(Listener):
             del _listeners[self.address]
 
 
-async def listen_(scheme: str, rest: str, handler: Handler,
-                  codec: Codec) -> InProcListener:
+async def listen_(scheme: str, rest: str,
+                  handler: Handler) -> InProcListener:
     address = f"{scheme}://{rest}"
     if address in _listeners:
         raise OSError(f"inproc address {address} already in use")
-    listener = InProcListener(address, handler, codec)
+    listener = InProcListener(address, handler)
     _listeners[address] = listener
     return listener
 
 
-async def connect_(scheme: str, rest: str, codec: Codec,
+async def connect_(scheme: str, rest: str,
                    timeout: float) -> InProcComm:
     address = f"{scheme}://{rest}"
     listener = _listeners.get(address)
@@ -156,7 +152,7 @@ async def connect_(scheme: str, rest: str, codec: Codec,
         raise ConnectionRefusedError(
             f"no inproc listener at {address}")
     conn_id = next(_conn_ids)
-    client = InProcComm(codec, address)
+    client = InProcComm(address)
     loop = asyncio.get_running_loop()
     # the accept may hop threads; never block this loop on the Event
     await loop.run_in_executor(

@@ -7,28 +7,22 @@ One message is one *frame*::
     | codec  | payload length | encoded message  |
     +--------+----------------+------------------+
 
-The codec byte makes every frame self-describing, so a JSON client can
-talk to a daemon whose default codec is msgpack and vice versa — the
-responder always answers in the codec the request arrived in.  JSON
-(codec byte ``J``) is always available; msgpack (codec byte ``M``) is
-registered only when the ``msgpack`` package is importable, which the
-container image does not guarantee (see :func:`available_codecs`).
-
-Messages carrying numpy arrays (forwarding tables) never round-trip
-through nested JSON lists: :func:`encode_frame` transparently upgrades
-them to a *binary* frame (codec byte ``B``) whose payload carries the
-raw little-endian array buffers out of band::
+The codec byte makes every frame self-describing.  There are two:
+``J`` — the payload is one JSON document — for every message without
+arrays, and ``B`` for messages carrying numpy arrays (forwarding
+tables), which never round-trip through nested JSON lists.
+:func:`encode_frame` picks by content; a ``B`` payload carries the raw
+little-endian array buffers out of band::
 
     +-------+--------------+---------------------------+---------------+
-    | inner | n_buffers    | n x (4-byte BE length +   | inner-encoded |
-    | codec | (4 bytes BE) |      raw LE array bytes)  | message       |
+    | ``J`` | n_buffers    | n x (4-byte BE length +   | JSON-encoded  |
+    |       | (4 bytes BE) |      raw LE array bytes)  | message       |
     +-------+--------------+---------------------------+---------------+
 
 In the inner message each extracted array is replaced by a placeholder
 dict ``{"__ndarray__": i, "dtype": "<i4", "shape": [r, c]}``; decoding
 restores the arrays in place (zero parse cost, one ``frombuffer`` view
-per table).  Peers that never send arrays never see a ``B`` frame, so
-plain-JSON compatibility is untouched.
+per table).  Peers that never send arrays never see a ``B`` frame.
 
 Messages are plain dicts.  Requests: ``{"id", "op", "payload"}``;
 responses: ``{"id", "ok": true, "result"}`` or ``{"id", "ok": false,
@@ -158,20 +152,7 @@ def _json_loads(data: bytes) -> Any:
     return json.loads(data.decode("utf-8"))
 
 
-_CODECS: Dict[str, Codec] = {
-    "json": Codec("json", b"J", _json_dumps, _json_loads),
-}
-
-try:  # msgpack is optional — the baked image may not ship it
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised where msgpack exists
-    msgpack = None
-else:  # pragma: no cover - exercised where msgpack exists
-    _CODECS["msgpack"] = Codec(
-        "msgpack", b"M",
-        lambda msg: msgpack.packb(msg, use_bin_type=True),
-        lambda data: msgpack.unpackb(data, raw=False),
-    )
+_JSON = Codec("json", b"J", _json_dumps, _json_loads)
 
 #: placeholder key marking an extracted ndarray in a binary frame's
 #: inner message; the value is the out-of-band buffer index
@@ -233,30 +214,26 @@ def _has_ndarray(obj: Any) -> bool:
     return False
 
 
-def _binary_payload(msg: Any, inner: Codec) -> bytes:
+def _binary_dumps(msg: Any) -> bytes:
     """Binary frame payload: inner byte, buffer table, inner message."""
     buffers: List[bytes] = []
     stripped = _extract_ndarrays(msg, buffers)
-    parts = [inner.byte, _LEN.pack(len(buffers))]
+    parts = [_JSON.byte, _LEN.pack(len(buffers))]
     for buf in buffers:
         parts.append(_LEN.pack(len(buf)))
         parts.append(buf)
-    parts.append(inner.dumps(stripped))
+    parts.append(_JSON.dumps(stripped))
     return b"".join(parts)
-
-
-def _binary_dumps(msg: Any) -> bytes:
-    # only reached when "binary" is the comm's *default* codec; frames
-    # produced by encode_frame embed the negotiated inner codec instead
-    return _binary_payload(msg, _CODECS["json"])
 
 
 def _binary_loads(payload: bytes) -> Any:
     if not payload:
         raise ProtocolError("empty binary frame payload")
-    inner = codec_for_byte(payload[0])
-    if inner.byte == _BINARY_BYTE:
+    if payload[:1] == _BINARY.byte:
         raise ProtocolError("binary frame cannot nest a binary frame")
+    if payload[:1] != _JSON.byte:
+        raise ProtocolError(
+            f"unknown codec byte {payload[0]:#04x} inside a binary frame")
     offset = 1
     if len(payload) < offset + 4:
         raise ProtocolError("truncated binary frame buffer table")
@@ -274,19 +251,17 @@ def _binary_loads(payload: bytes) -> Any:
                 f"payload")
         buffers.append(payload[offset:offset + length])
         offset += length
-    return _restore_ndarrays(inner.loads(payload[offset:]), buffers)
+    return _restore_ndarrays(_JSON.loads(payload[offset:]), buffers)
 
 
-_BINARY_BYTE = b"B"
-_CODECS["binary"] = Codec("binary", _BINARY_BYTE,
-                          _binary_dumps, _binary_loads)
+_BINARY = Codec("binary", b"B", _binary_dumps, _binary_loads)
 
+_CODECS: Dict[str, Codec] = {c.name: c for c in (_JSON, _BINARY)}
 _BY_BYTE: Dict[int, Codec] = {c.byte[0]: c for c in _CODECS.values()}
 
 
 def available_codecs() -> List[str]:
-    """Codec names usable in this process (``json`` always; ``msgpack``
-    when the package is installed)."""
+    """The two codec names: ``binary`` and ``json``."""
     return sorted(_CODECS)
 
 
@@ -308,19 +283,16 @@ def codec_for_byte(byte: int) -> Codec:
 
 # -- framing ------------------------------------------------------------------
 
-def encode_frame(msg: Any, codec: Codec) -> bytes:
+def encode_frame(msg: Any, codec: Codec = _JSON) -> bytes:
     """One message -> one self-describing frame.
 
-    A message containing numpy arrays is upgraded to a binary frame
-    (codec byte ``B``) with ``codec`` as the inner encoding; everything
-    else frames exactly as before, so array-free peers never observe
-    the upgrade.
+    A message containing numpy arrays always takes a binary frame
+    (codec byte ``B``), whatever ``codec`` says; array-free peers
+    never observe one.
     """
-    if codec.byte != _BINARY_BYTE and _has_ndarray(msg):
-        payload = _binary_payload(msg, codec)
-        codec = _CODECS["binary"]
-    else:
-        payload = codec.dumps(msg)
+    if _has_ndarray(msg):
+        codec = _BINARY
+    payload = codec.dumps(msg)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"message of {len(payload)} bytes exceeds the "

@@ -5,33 +5,52 @@ One set of dataclasses serves both call paths: ``repro.api.route
 (RouteRequest(...))`` sends the same object over the RPC wire — and
 both return the same :class:`RouteResponse`, bit-identical (the
 executor functions here are the single implementation the daemon and
-the facade share).
+the facade share; :data:`OPS` is the one table naming them).
 
-Every message carries ``schema_version`` (currently
-:data:`SCHEMA_VERSION`) and round-trips through plain-JSON dicts:
+Every message carries ``schema_version`` (exactly
+:data:`SCHEMA_VERSION`) and crosses the wire as a plain dict:
 networks travel as :mod:`repro.io.topofile` text (the repo's canonical
-diff-friendly wire format for fabrics), arrays as nested lists with
-fixed dtypes (``next_channel`` int32, ``vl`` int8), so a decoded
-response reconstructs the exact forwarding state.
-
-The kwargs forms ``api.route(topology=..., algorithm=...)`` remain as
-one-minor-release ``DeprecationWarning`` shims per the stability
-policy in ``docs/api.md``.
+diff-friendly wire format for fabrics), forwarding tables as
+``int32``/``int8`` ndarrays (``to_dict(tables="binary")``, which the
+frame layer ships as raw buffers) or as nested lists
+(``to_dict(tables="json")``, for files and JSON-only peers).  One
+declarative codec does all of it: each dataclass field names its wire
+*kind*, and the inherited ``to_dict``/``from_dict`` walk that spec —
+``from_dict`` type-checks every field of the outside dict and raises
+:class:`~repro.service.protocol.ServiceBadRequest` naming
+``<Class>.<field>`` on the first mismatch.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.network.graph import Network
-from repro.service.protocol import ServiceBadRequest
+from repro.service.wire import (
+    BOOL,
+    CONFIG,
+    FLOAT,
+    INT,
+    INTS,
+    LINKS,
+    OBJECT,
+    SCHEMA_VERSION,
+    TEXT,
+    TOPOLOGY,
+    VERSION,
+    WireMessage,
+    message,
+    optional,
+    table,
+    wire_field,
+    wire_message,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
+    "OPS",
     "RouteRequest",
     "RouteResponse",
     "AnalyzeRequest",
@@ -54,14 +73,6 @@ __all__ = [
     "transition",
 ]
 
-#: bump on any incompatible message-shape change; servers reject
-#: versions they do not know with ``ServiceBadRequest``.  v2 (PR 10)
-#: adds the binary table encoding: responses to v2 requests carry
-#: ``next_channel``/``vl`` as raw ndarrays (the protocol ships them as
-#: out-of-band little-endian buffers); v1 requests still get nested
-#: JSON lists, and both sides accept either form on decode.
-SCHEMA_VERSION = 2
-
 
 def _topology_text(topology: Union[str, Network]) -> str:
     """Accept a Network or topofile text; store text (the wire form)."""
@@ -72,62 +83,16 @@ def _topology_text(topology: Union[str, Network]) -> str:
     return format_topology(topology)
 
 
-def _check_version(data: Dict[str, Any], what: str) -> None:
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if not isinstance(version, int) or version > SCHEMA_VERSION \
-            or version < 1:
-        raise ServiceBadRequest(
-            f"{what} schema_version {version!r} not supported "
-            f"(this side speaks <= {SCHEMA_VERSION})"
-        )
-
-
 def _config_key(config: Dict[str, Any]) -> Tuple:
     return tuple(sorted(config.items()))
 
 
-def _decode_table(value: Any, what: str) -> Any:
-    """Validate one wire table field: ndarray (binary frames), nested
-    lists (schema v1 JSON), or a typed rejection for anything else —
-    in particular dicts announcing an ``encoding`` this side does not
-    implement must fail loudly, not decode to garbage."""
-    if isinstance(value, np.ndarray) or isinstance(value, list):
-        return value
-    if isinstance(value, dict):
-        encoding = value.get("encoding", value.get("__ndarray__"))
-        raise ServiceBadRequest(
-            f"{what}: unknown table encoding {encoding!r} "
-            f"(this side speaks nested lists and raw binary frames)")
-    raise ServiceBadRequest(
-        f"{what}: tables must be nested lists or binary arrays, "
-        f"got {type(value).__name__}")
-
-
-def _table_lists(value: Any) -> List[List[int]]:
-    """Wire table field -> nested lists (the schema v1 JSON form)."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
-
-
-@dataclass
-class RouteRequest:
-    """One routing computation: topology + algorithm + knobs.
-
-    ``topology`` accepts a :class:`~repro.network.graph.Network` (it is
-    converted to topofile text on construction) or the text itself.
-    ``workers`` is deliberately *not* part of the coalescing/cache
-    identity — parallelism must never change the routing tables.
-    """
+class _FabricRequest(WireMessage):
+    """A request anchored on one fabric: ``topology`` accepts a
+    :class:`~repro.network.graph.Network` (converted to topofile text
+    on construction) or the text itself."""
 
     topology: Union[str, Network]
-    algorithm: str = "nue"
-    max_vls: int = 8
-    config: Dict[str, Any] = field(default_factory=dict)
-    dests: Optional[List[int]] = None
-    seed: Optional[int] = None
-    workers: Optional[int] = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         self.topology = _topology_text(self.topology)
@@ -137,40 +102,25 @@ class RouteRequest:
 
         return parse_topology(self.topology)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "algorithm": self.algorithm,
-            "max_vls": self.max_vls,
-            "config": dict(self.config),
-            "dests": list(self.dests) if self.dests is not None else None,
-            "seed": self.seed,
-            "workers": self.workers,
-            "schema_version": self.schema_version,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RouteRequest":
-        _check_version(data, "RouteRequest")
-        try:
-            topology = data["topology"]
-        except KeyError:
-            raise ServiceBadRequest("RouteRequest needs a 'topology'")
-        if not isinstance(topology, str):
-            raise ServiceBadRequest(
-                "RouteRequest.topology must be topofile text on the wire")
-        dests = data.get("dests")
-        return cls(
-            topology=topology,
-            algorithm=str(data.get("algorithm", "nue")),
-            max_vls=int(data.get("max_vls", 8)),
-            config=dict(data.get("config") or {}),
-            dests=[int(d) for d in dests] if dests is not None else None,
-            seed=data.get("seed"),
-            workers=data.get("workers"),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
+# -- messages -----------------------------------------------------------------
+
+@wire_message
+class RouteRequest(_FabricRequest):
+    """One routing computation: topology + algorithm + knobs.
+
+    ``workers`` is deliberately *not* part of the coalescing/cache
+    identity — parallelism must never change the routing tables.
+    """
+
+    topology: Union[str, Network] = wire_field(TOPOLOGY)
+    algorithm: str = wire_field(TEXT, "nue")
+    max_vls: int = wire_field(INT, 8)
+    config: Dict[str, Any] = wire_field(CONFIG, default_factory=dict)
+    dests: Optional[List[int]] = wire_field(optional(INTS), None)
+    seed: Optional[int] = wire_field(optional(INT), None)
+    workers: Optional[int] = wire_field(optional(INT), None)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
     def coalesce_key(self, fingerprint: str) -> Tuple:
         """Identity for request coalescing and the route memo cache:
@@ -184,29 +134,31 @@ class RouteRequest:
         )
 
 
-@dataclass
-class RouteResponse:
+@wire_message
+class RouteResponse(WireMessage):
     """The forwarding state of one :class:`RouteRequest`.
 
-    ``next_channel``/``vl`` hold either int32/int8 ndarrays (binary
-    frames, :meth:`from_result`) or nested lists (schema v1 JSON); use
-    :meth:`next_channel_array` / :meth:`vl_array` (or :meth:`result`)
-    for the canonical ndarray form, exactly as the in-process
-    :class:`~repro.routing.base.RoutingResult` carries it.  The
-    response always *owns* its arrays — :meth:`from_result` copies out
-    of an shm-backed result so the caller is free to release the table
-    segment immediately after building the response.
+    ``next_channel``/``vl`` are int32/int8 ndarrays, exactly as the
+    in-process :class:`~repro.routing.base.RoutingResult` carries them
+    (:meth:`result` rebuilds one).  The response always *owns* its
+    arrays — :meth:`from_result` copies out of an shm-backed result so
+    the caller is free to release the table segment immediately after
+    building the response.
     """
 
-    algorithm: str
-    n_vls: int
-    dests: List[int]
-    next_channel: Union[List[List[int]], np.ndarray]
-    vl: Union[List[List[int]], np.ndarray]
-    runtime_s: float
-    stats: Dict[str, Any]
-    network_fingerprint: str
-    schema_version: int = SCHEMA_VERSION
+    algorithm: str = wire_field(TEXT)
+    n_vls: int = wire_field(INT)
+    dests: List[int] = wire_field(INTS)
+    next_channel: np.ndarray = wire_field(table(np.int32))
+    vl: np.ndarray = wire_field(table(np.int8))
+    runtime_s: float = wire_field(FLOAT)
+    stats: Dict[str, Any] = wire_field(OBJECT)
+    network_fingerprint: str = wire_field(TEXT)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
+
+    def __post_init__(self) -> None:
+        self.next_channel = np.asarray(self.next_channel, dtype=np.int32)
+        self.vl = np.asarray(self.vl, dtype=np.int8)
 
     @classmethod
     def from_result(cls, result: "Any",
@@ -228,10 +180,10 @@ class RouteResponse:
         )
 
     def next_channel_array(self) -> np.ndarray:
-        return np.asarray(self.next_channel, dtype=np.int32)
+        return self.next_channel
 
     def vl_array(self) -> np.ndarray:
-        return np.asarray(self.vl, dtype=np.int8)
+        return self.vl
 
     def result(self, net: Network) -> "Any":
         """Rebuild a full :class:`RoutingResult` over ``net``."""
@@ -240,130 +192,45 @@ class RouteResponse:
         return RoutingResult(
             net=net,
             dests=list(self.dests),
-            next_channel=self.next_channel_array(),
-            vl=self.vl_array(),
+            next_channel=self.next_channel,
+            vl=self.vl,
             n_vls=self.n_vls,
             algorithm=self.algorithm,
             runtime_s=self.runtime_s,
             stats=dict(self.stats),
         )
 
-    def to_dict(self, tables: str = "json") -> Dict[str, Any]:
-        """Wire dict; ``tables`` picks the table field encoding.
 
-        ``"json"`` (default) emits nested lists — valid in any codec
-        and readable by schema v1 peers; ``"binary"`` emits the raw
-        ndarrays, which the frame layer ships as out-of-band buffers
-        (the daemon picks per request: v2 requests get binary).
-        """
-        if tables == "binary":
-            nxt = self.next_channel_array()
-            vl = self.vl_array()
-        elif tables == "json":
-            nxt = _table_lists(self.next_channel)
-            vl = _table_lists(self.vl)
-        else:
-            raise ValueError(
-                f"tables must be 'json' or 'binary', got {tables!r}")
-        return {
-            "algorithm": self.algorithm,
-            "n_vls": self.n_vls,
-            "dests": list(self.dests),
-            "next_channel": nxt,
-            "vl": vl,
-            "runtime_s": self.runtime_s,
-            "stats": dict(self.stats),
-            "network_fingerprint": self.network_fingerprint,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RouteResponse":
-        _check_version(data, "RouteResponse")
-        return cls(
-            algorithm=str(data["algorithm"]),
-            n_vls=int(data["n_vls"]),
-            dests=[int(d) for d in data["dests"]],
-            next_channel=_decode_table(data["next_channel"],
-                                       "RouteResponse.next_channel"),
-            vl=_decode_table(data["vl"], "RouteResponse.vl"),
-            runtime_s=float(data.get("runtime_s", 0.0)),
-            stats=dict(data.get("stats") or {}),
-            network_fingerprint=str(data.get("network_fingerprint", "")),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
-
-
-@dataclass
-class AnalyzeRequest:
+@wire_message
+class AnalyzeRequest(WireMessage):
     """Route (or reuse a coalesced route) and report table metrics."""
 
-    route: RouteRequest
-    schema_version: int = SCHEMA_VERSION
+    route: RouteRequest = wire_field(message(RouteRequest))
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"route": self.route.to_dict(),
-                "schema_version": self.schema_version}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AnalyzeRequest":
-        _check_version(data, "AnalyzeRequest")
-        route = data.get("route")
-        if not isinstance(route, dict):
-            raise ServiceBadRequest(
-                "AnalyzeRequest needs a 'route' request dict")
-        return cls(route=RouteRequest.from_dict(route),
-                   schema_version=int(data.get("schema_version",
-                                               SCHEMA_VERSION)))
+    def network(self) -> Network:
+        return self.route.network()
 
     def coalesce_key(self, fingerprint: str) -> Tuple:
         return self.route.coalesce_key(fingerprint)
 
 
-@dataclass
-class AnalyzeResponse:
+@wire_message
+class AnalyzeResponse(WireMessage):
     """Deadlock/balance report of one routing (cf. ``repro analyze``)."""
 
-    algorithm: str
-    n_vls: int
-    deadlock_free: bool
-    required_vcs: int
-    gamma: Dict[str, float]
-    path_length: Dict[str, float]
-    network_fingerprint: str
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "n_vls": self.n_vls,
-            "deadlock_free": self.deadlock_free,
-            "required_vcs": self.required_vcs,
-            "gamma": dict(self.gamma),
-            "path_length": dict(self.path_length),
-            "network_fingerprint": self.network_fingerprint,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AnalyzeResponse":
-        _check_version(data, "AnalyzeResponse")
-        return cls(
-            algorithm=str(data["algorithm"]),
-            n_vls=int(data["n_vls"]),
-            deadlock_free=bool(data["deadlock_free"]),
-            required_vcs=int(data["required_vcs"]),
-            gamma=dict(data.get("gamma") or {}),
-            path_length=dict(data.get("path_length") or {}),
-            network_fingerprint=str(data.get("network_fingerprint", "")),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
+    algorithm: str = wire_field(TEXT)
+    n_vls: int = wire_field(INT)
+    deadlock_free: bool = wire_field(BOOL)
+    required_vcs: int = wire_field(INT)
+    gamma: Dict[str, float] = wire_field(OBJECT)
+    path_length: Dict[str, float] = wire_field(OBJECT)
+    network_fingerprint: str = wire_field(TEXT)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
 
-@dataclass
-class CampaignRequest:
+@wire_message
+class CampaignRequest(_FabricRequest):
     """One fail-in-place campaign (cf. :func:`repro.api.run_campaign`).
 
     ``schedule`` is the JSON dict form of
@@ -372,27 +239,22 @@ class CampaignRequest:
     construction.
     """
 
-    topology: Union[str, Network]
-    schedule: Union[Dict[str, Any], Any]
-    max_vls: int = 1
-    config: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    strategy: str = "incremental"
-    timeout_s: Optional[float] = None
-    workers: Optional[int] = None
-    schema_version: int = SCHEMA_VERSION
+    topology: Union[str, Network] = wire_field(TOPOLOGY)
+    schedule: Union[Dict[str, Any], Any] = wire_field(OBJECT)
+    max_vls: int = wire_field(INT, 1)
+    config: Dict[str, Any] = wire_field(CONFIG, default_factory=dict)
+    seed: Optional[int] = wire_field(optional(INT), None)
+    strategy: str = wire_field(TEXT, "incremental")
+    timeout_s: Optional[float] = wire_field(optional(FLOAT), None)
+    workers: Optional[int] = wire_field(optional(INT), None)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
     def __post_init__(self) -> None:
-        self.topology = _topology_text(self.topology)
+        super().__post_init__()
         if not isinstance(self.schedule, dict):
             import json
 
             self.schedule = json.loads(self.schedule.to_json())
-
-    def network(self) -> Network:
-        from repro.io.topofile import parse_topology
-
-        return parse_topology(self.topology)
 
     def fault_schedule(self) -> "Any":
         import json
@@ -400,42 +262,6 @@ class CampaignRequest:
         from repro.resilience.events import FaultSchedule
 
         return FaultSchedule.from_json(json.dumps(self.schedule))
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "schedule": self.schedule,
-            "max_vls": self.max_vls,
-            "config": dict(self.config),
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "timeout_s": self.timeout_s,
-            "workers": self.workers,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CampaignRequest":
-        _check_version(data, "CampaignRequest")
-        topology = data.get("topology")
-        schedule = data.get("schedule")
-        if not isinstance(topology, str) or not isinstance(schedule, dict):
-            raise ServiceBadRequest(
-                "CampaignRequest needs topofile 'topology' text and a "
-                "'schedule' events dict"
-            )
-        return cls(
-            topology=topology,
-            schedule=schedule,
-            max_vls=int(data.get("max_vls", 1)),
-            config=dict(data.get("config") or {}),
-            seed=data.get("seed"),
-            strategy=str(data.get("strategy", "incremental")),
-            timeout_s=data.get("timeout_s"),
-            workers=data.get("workers"),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
 
     def coalesce_key(self, fingerprint: str) -> Tuple:
         import json
@@ -447,43 +273,20 @@ class CampaignRequest:
         )
 
 
-@dataclass
-class CampaignResponse:
+@wire_message
+class CampaignResponse(WireMessage):
     """Outcome of one campaign: per-event reports + final state."""
 
-    events_total: int
-    events_survived: int
-    report: Dict[str, Any]
-    final_vls: int
-    network_fingerprint: str
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events_total": self.events_total,
-            "events_survived": self.events_survived,
-            "report": dict(self.report),
-            "final_vls": self.final_vls,
-            "network_fingerprint": self.network_fingerprint,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CampaignResponse":
-        _check_version(data, "CampaignResponse")
-        return cls(
-            events_total=int(data["events_total"]),
-            events_survived=int(data["events_survived"]),
-            report=dict(data.get("report") or {}),
-            final_vls=int(data.get("final_vls", 1)),
-            network_fingerprint=str(data.get("network_fingerprint", "")),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
+    events_total: int = wire_field(INT)
+    events_survived: int = wire_field(INT)
+    report: Dict[str, Any] = wire_field(OBJECT)
+    final_vls: int = wire_field(INT)
+    network_fingerprint: str = wire_field(TEXT)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
 
-@dataclass
-class RerouteRequest:
+@wire_message
+class RerouteRequest(_FabricRequest):
     """One incremental fail-in-place repair (cf.
     :func:`repro.resilience.incremental_reroute`).
 
@@ -494,23 +297,19 @@ class RerouteRequest:
     anyway, so the request stays small and bit-reproducible.
     """
 
-    topology: Union[str, Network]
-    failed_links: List[Tuple[str, str]] = field(default_factory=list)
-    max_vls: int = 1
-    config: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    workers: Optional[int] = None
-    schema_version: int = SCHEMA_VERSION
+    topology: Union[str, Network] = wire_field(TOPOLOGY)
+    failed_links: List[Tuple[str, str]] = wire_field(
+        LINKS, default_factory=list)
+    max_vls: int = wire_field(INT, 1)
+    config: Dict[str, Any] = wire_field(CONFIG, default_factory=dict)
+    seed: Optional[int] = wire_field(optional(INT), None)
+    workers: Optional[int] = wire_field(optional(INT), None)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
     def __post_init__(self) -> None:
-        self.topology = _topology_text(self.topology)
+        super().__post_init__()
         self.failed_links = [(str(u), str(v))
                              for u, v in self.failed_links]
-
-    def network(self) -> Network:
-        from repro.io.topofile import parse_topology
-
-        return parse_topology(self.topology)
 
     def failed_channels(self, net: Network) -> List[int]:
         """Directed-channel ids of ``failed_links`` in ``net``."""
@@ -522,41 +321,6 @@ class RerouteRequest:
             channels.extend((2 * li, 2 * li + 1))
         return channels
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "failed_links": [list(pair) for pair in self.failed_links],
-            "max_vls": self.max_vls,
-            "config": dict(self.config),
-            "seed": self.seed,
-            "workers": self.workers,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RerouteRequest":
-        _check_version(data, "RerouteRequest")
-        topology = data.get("topology")
-        if not isinstance(topology, str):
-            raise ServiceBadRequest(
-                "RerouteRequest needs topofile 'topology' text")
-        links = data.get("failed_links") or []
-        try:
-            failed = [(str(u), str(v)) for u, v in links]
-        except (TypeError, ValueError):
-            raise ServiceBadRequest(
-                "RerouteRequest.failed_links must be [name, name] pairs")
-        return cls(
-            topology=topology,
-            failed_links=failed,
-            max_vls=int(data.get("max_vls", 1)),
-            config=dict(data.get("config") or {}),
-            seed=data.get("seed"),
-            workers=data.get("workers"),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
-
     def coalesce_key(self, fingerprint: str) -> Tuple:
         return (
             fingerprint, "reroute", tuple(self.failed_links),
@@ -564,41 +328,18 @@ class RerouteRequest:
         )
 
 
-@dataclass
-class RerouteResponse:
+@wire_message
+class RerouteResponse(WireMessage):
     """Repaired forwarding state + the repair statistics."""
 
-    route: RouteResponse
-    stats: Dict[str, Any]
-    network_fingerprint: str
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self, tables: str = "json") -> Dict[str, Any]:
-        return {
-            "route": self.route.to_dict(tables=tables),
-            "stats": dict(self.stats),
-            "network_fingerprint": self.network_fingerprint,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RerouteResponse":
-        _check_version(data, "RerouteResponse")
-        route = data.get("route")
-        if not isinstance(route, dict):
-            raise ServiceBadRequest(
-                "RerouteResponse needs a 'route' response dict")
-        return cls(
-            route=RouteResponse.from_dict(route),
-            stats=dict(data.get("stats") or {}),
-            network_fingerprint=str(data.get("network_fingerprint", "")),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
+    route: RouteResponse = wire_field(message(RouteResponse))
+    stats: Dict[str, Any] = wire_field(OBJECT)
+    network_fingerprint: str = wire_field(TEXT)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
 
-@dataclass
-class TransitionRequest:
+@wire_message
+class TransitionRequest(_FabricRequest):
     """One planned transition onto a target fabric/routing.
 
     ``topology``/``algorithm``/``max_vls``/``config``/``seed`` describe
@@ -619,23 +360,26 @@ class TransitionRequest:
     the algorithms match.
     """
 
-    topology: Union[str, Network]
-    algorithm: str = "nue"
-    max_vls: int = 1
-    config: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    from_topology: Optional[Union[str, Network]] = None
-    from_algorithm: Optional[str] = None
-    from_max_vls: Optional[int] = None
-    from_config: Optional[Dict[str, Any]] = None
-    from_seed: Optional[int] = None
-    from_tables: Optional[Union[RouteResponse, Dict[str, Any]]] = None
-    strategy: str = "auto"
-    workers: Optional[int] = None
-    schema_version: int = SCHEMA_VERSION
+    topology: Union[str, Network] = wire_field(TOPOLOGY)
+    algorithm: str = wire_field(TEXT, "nue")
+    max_vls: int = wire_field(INT, 1)
+    config: Dict[str, Any] = wire_field(CONFIG, default_factory=dict)
+    seed: Optional[int] = wire_field(optional(INT), None)
+    from_topology: Optional[Union[str, Network]] = wire_field(
+        optional(TOPOLOGY), None)
+    from_algorithm: Optional[str] = wire_field(optional(TEXT), None)
+    from_max_vls: Optional[int] = wire_field(optional(INT), None)
+    from_config: Optional[Dict[str, Any]] = wire_field(
+        optional(CONFIG), None)
+    from_seed: Optional[int] = wire_field(optional(INT), None)
+    from_tables: Optional[Union[RouteResponse, Dict[str, Any]]] = wire_field(
+        optional(message(RouteResponse)), None)
+    strategy: str = wire_field(TEXT, "auto")
+    workers: Optional[int] = wire_field(optional(INT), None)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
     def __post_init__(self) -> None:
-        self.topology = _topology_text(self.topology)
+        super().__post_init__()
         if self.from_topology is not None:
             self.from_topology = _topology_text(self.from_topology)
         if isinstance(self.from_tables, dict):
@@ -647,12 +391,6 @@ class TransitionRequest:
         if self.from_topology is not None:
             return "grow"
         return "algorithm"
-
-    def network(self) -> Network:
-        """The *target* network (the coalescing/fingerprint anchor)."""
-        from repro.io.topofile import parse_topology
-
-        return parse_topology(self.topology)
 
     def from_network(self) -> Optional[Network]:
         if self.from_topology is None:
@@ -675,69 +413,11 @@ class TransitionRequest:
         seed = self.from_seed if self.from_seed is not None else self.seed
         return algorithm, max_vls, config, seed
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topology": self.topology,
-            "algorithm": self.algorithm,
-            "max_vls": self.max_vls,
-            "config": dict(self.config),
-            "seed": self.seed,
-            "from_topology": self.from_topology,
-            "from_algorithm": self.from_algorithm,
-            "from_max_vls": self.from_max_vls,
-            "from_config": dict(self.from_config)
-            if self.from_config is not None else None,
-            "from_seed": self.from_seed,
-            "from_tables": self.from_tables.to_dict()
-            if self.from_tables is not None else None,
-            "strategy": self.strategy,
-            "workers": self.workers,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TransitionRequest":
-        _check_version(data, "TransitionRequest")
-        topology = data.get("topology")
-        if not isinstance(topology, str):
-            raise ServiceBadRequest(
-                "TransitionRequest needs topofile 'topology' text "
-                "(the target fabric)")
-        from_topology = data.get("from_topology")
-        if from_topology is not None and not isinstance(from_topology, str):
-            raise ServiceBadRequest(
-                "TransitionRequest.from_topology must be topofile text "
-                "on the wire")
-        from_tables = data.get("from_tables")
-        if from_tables is not None and not isinstance(from_tables, dict):
-            raise ServiceBadRequest(
-                "TransitionRequest.from_tables must be a RouteResponse "
-                "dict")
-        from_config = data.get("from_config")
-        return cls(
-            topology=topology,
-            algorithm=str(data.get("algorithm", "nue")),
-            max_vls=int(data.get("max_vls", 1)),
-            config=dict(data.get("config") or {}),
-            seed=data.get("seed"),
-            from_topology=from_topology,
-            from_algorithm=data.get("from_algorithm"),
-            from_max_vls=data.get("from_max_vls"),
-            from_config=dict(from_config)
-            if from_config is not None else None,
-            from_seed=data.get("from_seed"),
-            from_tables=from_tables,
-            strategy=str(data.get("strategy", "auto")),
-            workers=data.get("workers"),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
-
     def coalesce_key(self, fingerprint: str) -> Tuple:
         """Everything that determines the plan (``workers`` excluded).
 
         ``from_tables`` can be large, so it enters the key as a digest
-        of its canonical JSON rather than the nested lists themselves.
+        of its canonical JSON rather than the tables themselves.
         """
         import hashlib
         import json
@@ -757,8 +437,8 @@ class TransitionRequest:
         )
 
 
-@dataclass
-class TransitionResponse:
+@wire_message
+class TransitionResponse(WireMessage):
     """The proven migration plan + the target forwarding state.
 
     ``plan`` is the full :class:`~repro.reconfig.MigrationPlan` wire
@@ -767,62 +447,23 @@ class TransitionResponse:
     scratch.
     """
 
-    scenario: str
-    strategy: str
-    compatible: bool
-    n_steps: int
-    n_swaps: int
-    n_drains: int
-    proofs: int
-    blocked_candidates: int
-    plan: Dict[str, Any]
-    route: RouteResponse
-    network_fingerprint: str
-    schema_version: int = SCHEMA_VERSION
+    scenario: str = wire_field(TEXT)
+    strategy: str = wire_field(TEXT)
+    compatible: bool = wire_field(BOOL)
+    n_steps: int = wire_field(INT)
+    n_swaps: int = wire_field(INT)
+    n_drains: int = wire_field(INT)
+    proofs: int = wire_field(INT)
+    blocked_candidates: int = wire_field(INT)
+    plan: Dict[str, Any] = wire_field(OBJECT)
+    route: RouteResponse = wire_field(message(RouteResponse))
+    network_fingerprint: str = wire_field(TEXT)
+    schema_version: int = wire_field(VERSION, SCHEMA_VERSION)
 
     def migration_plan(self) -> "Any":
         from repro.reconfig import MigrationPlan
 
         return MigrationPlan.from_dict(self.plan)
-
-    def to_dict(self, tables: str = "json") -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "strategy": self.strategy,
-            "compatible": self.compatible,
-            "n_steps": self.n_steps,
-            "n_swaps": self.n_swaps,
-            "n_drains": self.n_drains,
-            "proofs": self.proofs,
-            "blocked_candidates": self.blocked_candidates,
-            "plan": dict(self.plan),
-            "route": self.route.to_dict(tables=tables),
-            "network_fingerprint": self.network_fingerprint,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TransitionResponse":
-        _check_version(data, "TransitionResponse")
-        route = data.get("route")
-        if not isinstance(route, dict):
-            raise ServiceBadRequest(
-                "TransitionResponse needs a 'route' response dict")
-        return cls(
-            scenario=str(data["scenario"]),
-            strategy=str(data["strategy"]),
-            compatible=bool(data.get("compatible", False)),
-            n_steps=int(data.get("n_steps", 0)),
-            n_swaps=int(data.get("n_swaps", 0)),
-            n_drains=int(data.get("n_drains", 0)),
-            proofs=int(data.get("proofs", 0)),
-            blocked_candidates=int(data.get("blocked_candidates", 0)),
-            plan=dict(data.get("plan") or {}),
-            route=RouteResponse.from_dict(route),
-            network_fingerprint=str(data.get("network_fingerprint", "")),
-            schema_version=int(data.get("schema_version",
-                                        SCHEMA_VERSION)),
-        )
 
 
 # -- shared executors ---------------------------------------------------------
@@ -1034,124 +675,77 @@ def execute_transition(request: TransitionRequest, *,
     return response
 
 
+#: op -> (request class, response class, executor): the one table the
+#: daemon's dispatch, both clients' typed calls and the in-process
+#: facade below read
+OPS: Dict[str, Tuple[type, type, Callable[..., Any]]] = {
+    "route": (RouteRequest, RouteResponse, execute_route),
+    "analyze": (AnalyzeRequest, AnalyzeResponse, execute_analyze),
+    "campaign": (CampaignRequest, CampaignResponse, execute_campaign),
+    "reroute": (RerouteRequest, RerouteResponse, execute_reroute),
+    "transition": (TransitionRequest, TransitionResponse,
+                   execute_transition),
+}
+
+
 # -- in-process facade --------------------------------------------------------
 
-def _deprecated_kwargs(name: str, request_cls: str) -> None:
-    warnings.warn(
-        f"api.{name}(**kwargs) is deprecated; pass a typed "
-        f"{request_cls} "
-        f"(kwargs accepted for one more minor release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+def _execute(op: str, request: Any) -> Any:
+    request_cls, _response_cls, executor = OPS[op]
+    if not isinstance(request, request_cls):
+        raise TypeError(
+            f"{op}() takes a {request_cls.__name__}, got "
+            f"{type(request).__name__}")
+    return executor(request)
 
 
-def route(request: Optional[RouteRequest] = None, /,
-          **kwargs: Any) -> RouteResponse:
+def route(request: RouteRequest, /) -> RouteResponse:
     """Route a topology and return a typed :class:`RouteResponse`.
 
-    Preferred form: ``api.route(RouteRequest(topology=net, ...))`` —
-    the same object a :class:`~repro.service.client.ServiceClient`
-    sends, returning the same response.  The legacy kwargs form
-    (``api.route(topology=net, algorithm="nue")``) builds the request
-    for you but warns ``DeprecationWarning``.
+    ``api.route(RouteRequest(topology=net, ...))`` — the same object a
+    :class:`~repro.service.client.ServiceClient` sends, returning the
+    same response.
     """
-    if request is None:
-        _deprecated_kwargs("route", "RouteRequest")
-        request = RouteRequest(**kwargs)
-    elif kwargs:
-        raise TypeError(
-            "pass either a RouteRequest or kwargs, not both")
-    elif not isinstance(request, RouteRequest):
-        raise TypeError(
-            f"route() takes a RouteRequest, got {type(request).__name__}")
-    return execute_route(request)
+    return _execute("route", request)
 
 
-def analyze(request: Optional[AnalyzeRequest] = None, /,
-            **kwargs: Any) -> AnalyzeResponse:
+def analyze(request: Union[AnalyzeRequest, RouteRequest], /
+            ) -> AnalyzeResponse:
     """Route + metric report as a typed :class:`AnalyzeResponse`.
 
-    ``api.analyze(AnalyzeRequest(route=RouteRequest(...)))`` preferred;
-    kwargs build the nested ``RouteRequest`` with a
-    ``DeprecationWarning``.
+    ``api.analyze(AnalyzeRequest(route=RouteRequest(...)))``; a bare
+    :class:`RouteRequest` is wrapped for convenience.
     """
-    if request is None:
-        _deprecated_kwargs("analyze", "AnalyzeRequest")
-        request = AnalyzeRequest(route=RouteRequest(**kwargs))
-    elif kwargs:
-        raise TypeError(
-            "pass either an AnalyzeRequest or kwargs, not both")
-    elif isinstance(request, RouteRequest):
+    if isinstance(request, RouteRequest):
         request = AnalyzeRequest(route=request)
-    elif not isinstance(request, AnalyzeRequest):
-        raise TypeError(
-            f"analyze() takes an AnalyzeRequest, got "
-            f"{type(request).__name__}")
-    return execute_analyze(request)
+    return _execute("analyze", request)
 
 
-def campaign(request: Optional[CampaignRequest] = None, /,
-             **kwargs: Any) -> CampaignResponse:
+def campaign(request: CampaignRequest, /) -> CampaignResponse:
     """Run a fail-in-place campaign as a typed :class:`CampaignResponse`.
 
-    ``api.campaign(CampaignRequest(topology=net, schedule=sched))``
-    preferred — the same object :meth:`ServiceClient.campaign` sends.
-    The kwargs form builds the request with a ``DeprecationWarning``.
+    ``api.campaign(CampaignRequest(topology=net, schedule=sched))`` —
+    the same object :meth:`ServiceClient.campaign` sends.
     """
-    if request is None:
-        _deprecated_kwargs("campaign", "CampaignRequest")
-        request = CampaignRequest(**kwargs)
-    elif kwargs:
-        raise TypeError(
-            "pass either a CampaignRequest or kwargs, not both")
-    elif not isinstance(request, CampaignRequest):
-        raise TypeError(
-            f"campaign() takes a CampaignRequest, got "
-            f"{type(request).__name__}")
-    return execute_campaign(request)
+    return _execute("campaign", request)
 
 
-def reroute(request: Optional[RerouteRequest] = None, /,
-            **kwargs: Any) -> RerouteResponse:
+def reroute(request: RerouteRequest, /) -> RerouteResponse:
     """Incremental fail-in-place repair as a typed
     :class:`RerouteResponse`.
 
     ``api.reroute(RerouteRequest(topology=net, failed_links=[("s0",
-    "s1")]))`` preferred; kwargs build the request with a
-    ``DeprecationWarning``.
+    "s1")]))``.
     """
-    if request is None:
-        _deprecated_kwargs("reroute", "RerouteRequest")
-        request = RerouteRequest(**kwargs)
-    elif kwargs:
-        raise TypeError(
-            "pass either a RerouteRequest or kwargs, not both")
-    elif not isinstance(request, RerouteRequest):
-        raise TypeError(
-            f"reroute() takes a RerouteRequest, got "
-            f"{type(request).__name__}")
-    return execute_reroute(request)
+    return _execute("reroute", request)
 
 
-def transition(request: Optional[TransitionRequest] = None, /,
-               **kwargs: Any) -> TransitionResponse:
+def transition(request: TransitionRequest, /) -> TransitionResponse:
     """Plan a deadlock-free transition as a typed
     :class:`TransitionResponse`.
 
-    ``api.transition(TransitionRequest(topology=target, ...))``
-    preferred — the same object :meth:`ServiceClient.transition`
-    sends, returning the same proven plan bit-for-bit.  The kwargs
-    form builds the request with a ``DeprecationWarning``.
+    ``api.transition(TransitionRequest(topology=target, ...))`` — the
+    same object :meth:`ServiceClient.transition` sends, returning the
+    same proven plan bit-for-bit.
     """
-    if request is None:
-        _deprecated_kwargs("transition", "TransitionRequest")
-        request = TransitionRequest(**kwargs)
-    elif kwargs:
-        raise TypeError(
-            "pass either a TransitionRequest or kwargs, not both")
-    elif not isinstance(request, TransitionRequest):
-        raise TypeError(
-            f"transition() takes a TransitionRequest, got "
-            f"{type(request).__name__}")
-    return execute_transition(request)
+    return _execute("transition", request)

@@ -17,7 +17,6 @@ from typing import Optional
 from repro.service.comm import Comm, CommClosedError, Handler, Listener
 from repro.service.protocol import (
     HEADER_SIZE,
-    Codec,
     decode_header,
     encode_frame,
 )
@@ -29,11 +28,9 @@ class StreamComm(Comm):
     """One framed connection over an asyncio stream pair."""
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, codec: Codec,
-                 peer_name: str) -> None:
+                 writer: asyncio.StreamWriter, peer_name: str) -> None:
         self._reader = reader
         self._writer = writer
-        self._codec = codec
         self._closed = False
         self.peer = peer_name
 
@@ -41,7 +38,7 @@ class StreamComm(Comm):
         if self._closed:
             raise CommClosedError(f"comm to {self.peer} is closed")
         try:
-            self._writer.write(encode_frame(msg, self._codec))
+            self._writer.write(encode_frame(msg))
             await self._writer.drain()
         except (ConnectionError, RuntimeError) as exc:
             self._closed = True
@@ -59,8 +56,6 @@ class StreamComm(Comm):
             self._closed = True
             raise CommClosedError(
                 f"peer {self.peer} closed the connection") from exc
-        # decode with the codec named in the frame, not the local
-        # default: a json client may talk to a msgpack-default daemon
         return codec.loads(payload)
 
     async def close(self) -> None:
@@ -105,32 +100,32 @@ def _split_host_port(rest: str) -> tuple:
     return host, int(port)
 
 
-def _wrap_handler(handler: Handler, codec: Codec, scheme: str):
+def _wrap_handler(handler: Handler, scheme: str):
     async def on_connect(reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
         peer = writer.get_extra_info("peername")
-        comm = StreamComm(reader, writer, codec,
+        comm = StreamComm(reader, writer,
                           f"{scheme}://{peer}" if peer else scheme)
         await handler(comm)
 
     return on_connect
 
 
-async def listen_(scheme: str, rest: str, handler: Handler,
-                  codec: Codec) -> StreamListener:
+async def listen_(scheme: str, rest: str,
+                  handler: Handler) -> StreamListener:
     if scheme == "unix":
         path = "/" + rest.lstrip("/") if rest.startswith("/") else rest
         server = await asyncio.start_unix_server(
-            _wrap_handler(handler, codec, scheme), path=path)
+            _wrap_handler(handler, scheme), path=path)
         return StreamListener(server, f"unix://{path}", unix_path=path)
     host, port = _split_host_port(rest)
     server = await asyncio.start_server(
-        _wrap_handler(handler, codec, scheme), host=host, port=port)
+        _wrap_handler(handler, scheme), host=host, port=port)
     bound = server.sockets[0].getsockname()
     return StreamListener(server, f"tcp://{bound[0]}:{bound[1]}")
 
 
-async def connect_(scheme: str, rest: str, codec: Codec,
+async def connect_(scheme: str, rest: str,
                    timeout: float) -> StreamComm:
     if scheme == "unix":
         path = "/" + rest.lstrip("/") if rest.startswith("/") else rest
@@ -145,4 +140,4 @@ async def connect_(scheme: str, rest: str, codec: Codec,
     except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
         raise CommClosedError(
             f"cannot connect to {peer_name}: {exc}") from exc
-    return StreamComm(reader, writer, codec, peer_name)
+    return StreamComm(reader, writer, peer_name)

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 # make this directory importable so test modules can do
-# ``from conftest import small_network_zoo`` regardless of which
-# subdirectory they live in
+# ``from conftest import small_network_zoo`` (or ``from digests import
+# result_digest``) regardless of which subdirectory they live in
 sys.path.insert(0, os.path.dirname(__file__))
 
 from repro import obs

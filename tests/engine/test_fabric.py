@@ -394,95 +394,29 @@ class TestScratchArrays:
 
 
 def _big_result_task(ctx, task):
-    """Worker probe returning one above-threshold array (rides a
-    result scratch segment) and one small plain value."""
+    """Worker probe returning one array larger than the context
+    scratch threshold and one small plain value."""
     n = fabric.SCRATCH_MIN_BYTES // 8 + 32
     return np.full(n, float(task)), task * 10
 
 
-class TestResultExport:
-    """Worker->parent result transport: large ndarray members of tuple
-    results ride a scratch shm segment instead of the result pickle,
-    and the parent unlinks each segment as the result lands."""
+class TestResultReturn:
+    """Worker->parent results have one way back: the task's pickled
+    return value, whatever its size; forwarding columns never ride it
+    while the request's table has a segment."""
 
-    def test_round_trip_in_process(self):
-        obs.enable(obs.MemorySink(keep_events=False))
-        big = np.arange(fabric.SCRATCH_MIN_BYTES // 8 + 16,
-                        dtype=np.float64)
-        small = np.arange(8, dtype=np.int32)
-        packed = fabric.export_result((big, small, "tag"))
-        assert isinstance(packed[0], fabric._ScratchArray)
-        assert packed[1] is small  # under the threshold: pickled
-        assert packed[2] == "tag"
-        restored = fabric.import_result(packed)
-        np.testing.assert_array_equal(restored[0], big)
-        assert restored[1] is small
-        counts = obs.counters()
-        assert counts.get("fabric.result_exports") == 1
-        assert counts.get("fabric.result_imports") == 1
-        assert _shm_leaks() == []  # import unlinked the segment
-
-    def test_non_tuple_and_small_results_pass_through(self):
-        small = (np.arange(4), "x")
-        assert fabric.export_result(small) is small
-        assert fabric.export_result([1, 2]) == [1, 2]
-        assert fabric.import_result(small) is small
-
-    def test_pool_run_ships_large_results_via_shm(self):
-        obs.enable(obs.MemorySink(keep_events=False))
+    def test_pool_run_returns_large_results_intact(self):
         out = engine.run_layer_tasks(
             _big_result_task, None, [1, 2, 3], workers=2)
-        counts = dict(obs.counters())
         n = fabric.SCRATCH_MIN_BYTES // 8 + 32
         for task, (arr, tag) in zip([1, 2, 3], out):
             np.testing.assert_array_equal(arr, np.full(n, float(task)))
             assert tag == task * 10
-        # workers exported (their counters replay into the parent),
-        # the parent imported, and no segment outlived the collect
-        assert counts.get("fabric.result_exports", 0) >= 1
-        assert counts.get("fabric.result_imports", 0) == 3
         assert _shm_leaks() == []
 
-
-class TestResultExportEdgeCases:
-    """Boundary behaviour of the scratch result path (PR 10)."""
-
-    def test_zero_destination_shard_stays_inline(self):
-        # a worker with an empty shard returns a (n, 0) block: 0 bytes,
-        # so export must not allocate a segment for it
-        empty = np.zeros((64, 0), dtype=np.int32)
-        packed = fabric.export_result((empty, "stats"))
-        assert packed[0] is empty
-        restored = fabric.import_result(packed)
-        assert restored[0].shape == (64, 0)
-        assert _shm_leaks() == []
-
-    def test_empty_table_round_trips(self):
-        # zero destinations end to end: nothing to ship, nothing leaks
-        zero = np.zeros((0, 0), dtype=np.int32)
-        packed = fabric.export_result((zero,))
-        restored = fabric.import_result(packed)
-        assert restored[0].shape == (0, 0)
-        assert restored[0].dtype == np.int32
-        assert _shm_leaks() == []
-
-    def test_exactly_at_scratch_min_bytes_exports(self):
-        # the >= boundary: a result of exactly SCRATCH_MIN_BYTES rides
-        # shm, one byte under stays in the pickle
-        at = np.zeros(fabric.SCRATCH_MIN_BYTES, dtype=np.int8)
-        under = np.zeros(fabric.SCRATCH_MIN_BYTES - 1, dtype=np.int8)
-        packed = fabric.export_result((at, under))
-        assert isinstance(packed[0], fabric._ScratchArray)
-        assert packed[1] is under
-        restored = fabric.import_result(packed)
-        np.testing.assert_array_equal(restored[0], at)
-        assert restored[0].nbytes == fabric.SCRATCH_MIN_BYTES
-        assert restored[1] is under
-        assert _shm_leaks() == []
-
-    def test_table_store_route_exports_no_results(self):
-        # the PR 10 counter split at module level: a store-backed DOR
-        # fan-out writes tables, never scratch-exports them
+    def test_table_store_route_writes_columns_in_place(self):
+        # a store-backed DOR fan-out lands every column via
+        # write_columns; no worker returns a block
         from repro.engine import tablestore
         from repro.routing.dor import DORRouting
 
@@ -495,5 +429,5 @@ class TestResultExportEdgeCases:
         if not backed:
             pytest.skip("no shm on this platform")
         assert counts.get("fabric.table_writes", 0) >= 1
-        assert counts.get("fabric.result_exports", 0) == 0
+        assert counts.get("fabric.table_fallbacks", 0) == 0
         assert not tablestore.live_tables()

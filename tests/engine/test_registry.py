@@ -1,4 +1,4 @@
-"""Algorithm registry: round-trips, config validation, deprecation shim."""
+"""Algorithm registry: round-trips and config validation."""
 
 import warnings
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.routing import (
     RoutingAlgorithm,
-    algorithm_registry,
     algorithm_descriptions,
     available_algorithms,
     make_algorithm,
@@ -85,17 +84,7 @@ class TestValidation:
         assert make_algorithm("lash", workers=2).workers == 2
 
 
-class TestDeprecationShim:
-    def test_algorithm_registry_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_algorithm"):
-            reg = algorithm_registry(4)
-        assert set(reg) == {
-            "minhop", "updn", "dnup", "dor", "torus-2qos", "ftree",
-            "lash", "dfsssp",
-        }
-        assert all(isinstance(a, RoutingAlgorithm)
-                   for a in reg.values())
-
+class TestDirectConstruction:
     def test_direct_constructors_still_work(self):
         from repro.core import NueRouting
         with warnings.catch_warnings():

@@ -1,17 +1,19 @@
 """Shm-resident forwarding tables: lifecycle, refcounting, zero-copy
-fan-out, env fallbacks and the crash/interrupt cleanup contract."""
+fan-out, the no-shm fallback and the crash/interrupt cleanup contract."""
 
 import copy
+import errno
 import os
 import pickle
 
 import numpy as np
 import pytest
+from digests import result_digest
 
-from repro import obs
+from repro import api, obs
 from repro.engine import fabric, tablestore
 from repro.network.topologies import torus
-from repro.routing import dor
+from repro.routing import dor, make_algorithm
 from repro.routing.dor import DORRouting
 
 
@@ -135,16 +137,89 @@ class TestOwnershipSemantics:
         assert tablestore.ticket_for(table.next_channel) is None
 
 
-class TestFallbacks:
-    def test_store_disabled_by_env(self, monkeypatch):
-        monkeypatch.setenv(tablestore.TABLE_STORE_ENV_VAR, "0")
-        assert not tablestore.enabled()
-        assert tablestore.create_table(4, 2) is None
+def _route_nue(net, workers):
+    return make_algorithm("nue", max_vls=2, workers=workers).route(
+        net, seed=3)
 
-    def test_pickle_transport_implies_store_off(self, monkeypatch):
-        monkeypatch.setenv(fabric.RESULT_TRANSPORT_ENV_VAR, "pickle")
-        assert not tablestore.enabled()
-        assert tablestore.create_table(4, 2) is None
+
+def _route_dor(net, workers):
+    return DORRouting(workers=workers).route(net, seed=3)
+
+
+def _reroute(net, workers):
+    prior = _route_nue(net, workers)
+    link = next(li for li, (u, v) in enumerate(net.links())
+                if net.is_switch(u) and net.is_switch(v))
+    repaired, stats = api.incremental_reroute(
+        net, prior, [2 * link, 2 * link + 1], max_vls=2, seed=3,
+        workers=workers)
+    assert stats["dests_recomputed"] > 0
+    prior.release()
+    return repaired
+
+
+def _transition(net, workers):
+    outcome = api.algorithm_transition(
+        net, from_algorithm="updn", to_algorithm="nue", to_max_vls=2,
+        from_seed=1, to_seed=3, workers=workers)
+    mixed = api.apply_plan(outcome.old, outcome.new, outcome.plan)
+    outcome.old.release()
+    outcome.new.release()
+    return mixed
+
+
+class TestFallbacks:
+    """The one fallback: no segment can be allocated, so the table is
+    private memory and workers return their blocks by value.  Nothing
+    selects it — the tests make allocation fail the way a full
+    ``/dev/shm`` does."""
+
+    @staticmethod
+    def _fill_dev_shm(monkeypatch):
+        def refuse(specs, seg_base):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(fabric, "_alloc_raw", refuse)
+
+    def test_create_table_falls_back_to_private_memory(self, monkeypatch):
+        self._fill_dev_shm(monkeypatch)
+        table = tablestore.create_table(4, 2)
+        assert table.handle is None
+        assert (table.next_channel == -1).all()
+        assert table.next_channel.dtype == np.int32
+        assert (table.vl == 0).all() and table.vl.dtype == np.int8
+        assert not tablestore.live_tables()
+        assert table.release() and not table.release()
+        # private arrays outlive the release
+        assert table.next_channel.shape == (4, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scenario", [
+        _route_nue, _route_dor, _reroute, _transition])
+    def test_no_shm_tables_are_bit_identical(self, scenario, workers,
+                                             monkeypatch):
+        net = torus([3, 3, 3], 1)
+        with_shm = scenario(net, workers)
+        assert with_shm.shm_backed or not os.path.isdir("/dev/shm")
+        expected = result_digest(with_shm)
+        with_shm.release()
+        fabric.shutdown()
+
+        self._fill_dev_shm(monkeypatch)
+        obs.enable(obs.MemorySink(keep_events=False))
+        try:
+            without = scenario(net, workers)
+            counts = dict(obs.counters())
+        finally:
+            obs.disable()
+            obs.reset()
+        assert not without.shm_backed
+        assert result_digest(without) == expected
+        assert counts.get("fabric.table_fallbacks", 0) >= 1
+        assert counts.get("fabric.table_creates", 0) == 0
+        without.release()  # a no-op the consumers may call blindly
+        assert result_digest(without) == expected
+        assert not _shm_leaks()
 
     def test_write_columns_without_handle_falls_back(self):
         block = np.zeros((4, 1), dtype=np.int32)
@@ -167,20 +242,6 @@ class TestFallbacks:
         block = np.zeros((4, 1), dtype=np.int32)
         assert not tablestore.write_columns(handle, [0], block)
 
-    def test_disabled_store_route_is_bit_identical(self, monkeypatch):
-        net = torus([3, 3, 3], 1)
-        with_store = DORRouting(workers=2).route(net, seed=3)
-        assert with_store.shm_backed or not tablestore.enabled()
-        nxt = np.array(with_store.next_channel, copy=True)
-        vl = np.array(with_store.vl, copy=True)
-        with_store.release()
-        monkeypatch.setenv(tablestore.TABLE_STORE_ENV_VAR, "0")
-        fabric.shutdown()  # forked workers read the env at spawn
-        without = DORRouting(workers=2).route(net, seed=3)
-        assert not without.shm_backed
-        np.testing.assert_array_equal(nxt, without.next_channel)
-        np.testing.assert_array_equal(vl, without.vl)
-
 
 class TestZeroCopyFanOut:
     def test_route_counters_split(self):
@@ -196,11 +257,10 @@ class TestZeroCopyFanOut:
             obs.reset()
         if not backed:
             pytest.skip("no shm on this platform")
-        # tables land via write_columns; nothing rides a result scratch
-        # segment back to the parent
+        # tables land via write_columns, not through the fallback
         assert counts.get("fabric.table_creates") == 1
         assert counts.get("fabric.table_writes", 0) >= 2
-        assert counts.get("fabric.result_exports", 0) == 0
+        assert counts.get("fabric.table_fallbacks", 0) == 0
         assert counts.get("fabric.table_releases") == 1
 
     def test_consumer_ctx_reattaches_table(self):

@@ -11,9 +11,8 @@ on a non-torus, fat-tree routing on a torus) including which exception
 type escapes.
 """
 
-import hashlib
-
 import pytest
+from digests import result_digest
 
 from repro.network.faults import remove_switches
 from repro.network.topologies import k_ary_n_tree, ring, torus
@@ -74,14 +73,6 @@ GOLDEN = {
     "tree32/torus-2qos/k8": "raises:NotApplicableError",
     "tree32/updn/k8": "350a1dc596667deb8d89791a3bceda4f",
 }
-
-
-def result_digest(res) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(res.next_channel.astype("int32").tobytes())
-    h.update(res.vl.astype("int8").tobytes())
-    h.update(b"%d" % res.n_vls)
-    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Socket transports: tcp and unix, sync client, codec negotiation."""
+"""Socket transports: tcp and unix, sync client."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.service import (
     AnalyzeRequest,
     RouteRequest,
     ServiceClient,
-    available_codecs,
     parse_address,
     serve_in_thread,
 )
@@ -47,13 +46,6 @@ class TestTcp:
         assert status["service"]["requests_served"] >= 1
         assert status["service"]["max_pending"] == 32
         assert "counters" in status and "spans" in status
-
-    @pytest.mark.parametrize("codec", available_codecs())
-    def test_codecs(self, codec, request_):
-        with serve_in_thread(["tcp://127.0.0.1:0"]) as (_service, bound):
-            with ServiceClient(bound[0], codec=codec) as client:
-                assert client.ping() is True
-                assert client.route(request_).n_vls == 2
 
 
 class TestUnix:

@@ -89,8 +89,7 @@ API_SURFACE = {
         "= None, to_config: 'Optional[Dict[str, Any]]' = None, from_seed: 'SeedLike' = None, "
         "to_seed: 'SeedLike' = None, workers: 'Optional[int]' = None, strategy: 'str' = 'auto') "
         "-> 'TransitionOutcome'",
-    'analyze': "(request: 'Optional[AnalyzeRequest]' = None, /, **kwargs: 'Any') -> "
-        "'AnalyzeResponse'",
+    'analyze': "(request: 'Union[AnalyzeRequest, RouteRequest]', /) -> 'AnalyzeResponse'",
     'apply_plan': "(old: 'RoutingResult', new: 'RoutingResult', plan: 'MigrationPlan', upto: "
         "'Optional[int]' = None) -> 'RoutingResult'",
     'as_network': '(obj) -> "\'Network\'"',
@@ -98,8 +97,7 @@ API_SURFACE = {
         "'int', prefix: 'str' = 't') -> 'List[int]'",
     'available_algorithms': "() -> 'List[str]'",
     'build_config': "(name: 'str', **config: 'object') -> 'Optional[object]'",
-    'campaign': "(request: 'Optional[CampaignRequest]' = None, /, **kwargs: 'Any') -> "
-        "'CampaignResponse'",
+    'campaign': "(request: 'CampaignRequest', /) -> 'CampaignResponse'",
     'check_compatibility': "(old: 'RoutingResult', new: 'RoutingResult') -> 'CompatibilityReport'",
     'dirty_destinations': "(result: 'RoutingResult', failed_channels: 'Sequence[int]') -> "
         "'List[int]'",
@@ -133,17 +131,15 @@ API_SURFACE = {
         "seed: 'SeedLike' = None, workers: 'Optional[int]' = None, strategy: 'str' = 'auto') -> "
         "'TransitionOutcome'",
     'required_vcs': "(result: 'RoutingResult') -> 'int'",
-    'reroute': "(request: 'Optional[RerouteRequest]' = None, /, **kwargs: 'Any') -> "
-        "'RerouteResponse'",
-    'route': "(request: 'Optional[RouteRequest]' = None, /, **kwargs: 'Any') -> 'RouteResponse'",
+    'reroute': "(request: 'RerouteRequest', /) -> 'RerouteResponse'",
+    'route': "(request: 'RouteRequest', /) -> 'RouteResponse'",
     'run_campaign': "(net: 'Network', schedule: 'FaultSchedule', max_vls: 'int' = 1, config: "
         "'Optional[NueConfig]' = None, seed: 'SeedLike' = None, strategy: 'str' = 'incremental', "
         "timeout_s: 'Optional[float]' = None, workers: 'Optional[int]' = None, validate: 'bool' = "
         "True) -> 'CampaignResult'",
     'shutdown_fabric': "(wait: 'bool' = True) -> 'None'",
     'topologies': 'module',
-    'transition': "(request: 'Optional[TransitionRequest]' = None, /, **kwargs: 'Any') -> "
-        "'TransitionResponse'",
+    'transition': "(request: 'TransitionRequest', /) -> 'TransitionResponse'",
     'validate_routing': "(result: 'RoutingResult', sources: 'Optional[Sequence[int]]' = None, "
         "check_deadlock: 'bool' = True) -> 'None'",
     'verify_plan': "(old: 'RoutingResult', new: 'RoutingResult', plan: 'MigrationPlan') -> 'int'",
@@ -167,7 +163,6 @@ TOP_LEVEL_SURFACE = {
     "Torus2QoSRouting": "class",
     "UpDownRouting": "class",
     "__version__": "str",
-    "algorithm_registry": "(max_vls: int = 8) -> dict",
     "api": "module",
     "available_algorithms": "() -> 'List[str]'",
     "engine": "module",
@@ -237,13 +232,6 @@ def test_readme_quickstart_snippet():
     assert gamma_summary(result).maximum > 0
     path = result.path_nodes(net.terminals[0], net.terminals[-1])
     assert path[0] == net.terminals[0]
-
-
-def test_algorithm_registry_importable_from_top_level():
-    with pytest.warns(DeprecationWarning,
-                      match="repro.api.make_algorithm"):
-        reg = repro.algorithm_registry(4)
-    assert "dfsssp" in reg
 
 
 def test_error_types_related():
