@@ -18,6 +18,7 @@ not a noisy shared core.
 
 import time
 
+import numpy as np
 import pytest
 
 from conftest import needs_cores
@@ -46,13 +47,16 @@ def _route_all_steps(net, dests, root, legacy):
         cdg = LegacyCompleteCDG(net)
         esc = LegacyEscapePaths(net, cdg, root, dests)
         router = LegacyNueLayerRouter(net, cdg, esc)
-    else:
-        cdg = CompleteCDG(net)
-        esc = EscapePaths(net, cdg, root, dests)
-        router = NueLayerRouter(net, cdg, esc)
+        t0 = time.perf_counter()
+        for d in dests:
+            router.route_step(d)
+        return time.perf_counter() - t0
+    cdg = CompleteCDG(net)
+    esc = EscapePaths(net, cdg, root, dests)
+    router = NueLayerRouter(net, cdg, esc)
+    block = np.full((net.n_nodes, len(dests)), -1, dtype=np.int32)
     t0 = time.perf_counter()
-    for d in dests:
-        router.route_step(d)
+    router.route_batch(dests, block)
     return time.perf_counter() - t0
 
 

@@ -5,6 +5,7 @@ experiment harnesses tractable: the Pearce–Kelly cycle machinery (the
 §4.6.1 memoization), the modified Dijkstra, and the escape marking.
 """
 
+import numpy as np
 import pytest
 
 from repro.cdg.complete_cdg import CompleteCDG
@@ -50,9 +51,10 @@ def test_bench_single_routing_step(benchmark, net):
     escape = EscapePaths(net, cdg, 0, net.terminals)
     router = NueLayerRouter(net, cdg, escape)
     dests = iter(net.terminals)
+    block = np.full((net.n_nodes, 1), -1, dtype=np.int32)
 
     def step():
-        return router.route_step(next(dests))
+        return router.route_batch([next(dests)], block)
 
     benchmark.pedantic(step, rounds=10, iterations=1, warmup_rounds=0)
 

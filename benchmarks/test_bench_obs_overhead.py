@@ -2,7 +2,7 @@
 
 The instrumentation threaded through the routing core was designed so
 that the *disabled* path (the default) costs almost nothing: hot loops
-tally plain local integers and route_step flushes them through a single
+tally plain local integers and route_batch flushes them through a single
 ``obs.enabled()``-gated call, and ``obs.span`` hands back a shared
 no-op object.  This benchmark turns that design claim into a regression
 test: it prices the disabled-path primitives per call, multiplies by
@@ -21,6 +21,7 @@ with zero drops at the default buffer.
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -83,9 +84,10 @@ def _median_step_ns_any(net, repeats=5):
         escape = EscapePaths(net, cdg, 0, net.terminals)
         router = NueLayerRouter(net, cdg, escape)
         samples = []
+        block = np.full((net.n_nodes, 1), -1, dtype=np.int32)
         for dest in net.terminals[:10]:
             t0 = time.perf_counter_ns()
-            router.route_step(dest)
+            router.route_batch([dest], block)
             samples.append(time.perf_counter_ns() - t0)
         medians.append(statistics.median(samples))
     return statistics.median(medians)
@@ -104,8 +106,8 @@ def _per_step_touches(net):
     cdg = CompleteCDG(net)
     escape = EscapePaths(net, cdg, 0, net.terminals)
     router = NueLayerRouter(net, cdg, escape)
-    for dest in net.terminals[:10]:
-        router.route_step(dest)
+    block = np.full((net.n_nodes, 10), -1, dtype=np.int32)
+    router.route_batch(net.terminals[:10], block)
     obs.disable()
     c = obs.counters()
     steps = c["nue.route_steps"]
@@ -113,7 +115,7 @@ def _per_step_touches(net):
     # relaxations once each; ~10 covers the fixed per-step bookkeeping
     adds = (2 * c["nue.heap_pops"] + c["nue.heap_pushes"]
             + c["nue.relaxations"]) / steps + 10
-    enabled_checks = 2  # route_step flush + resolve_islands flush
+    enabled_checks = 2  # route_batch step flush + resolve_islands flush
     obs.reset()
     return adds, enabled_checks
 

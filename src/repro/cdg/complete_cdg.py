@@ -35,9 +35,15 @@ an edge to unused without splitting components, which is conservative
 (it can only force an extra DFS, never a wrong answer) — see
 ``repro/utils/unionfind.py``.
 
+The cycle searches mark visited vertices on one epoch-stamped scratch
+array owned by the CDG (bumping the epoch invalidates every mark in
+O(1)), so every caller — the routing step's hot loop, the escape-path
+marking, the layering and reconfiguration what-if checks — runs the
+same search and moves the same counters.
+
 The pre-CSR (dict/list) implementation is frozen verbatim in
-:mod:`repro.legacy.nue_ref`; the equality tests in ``tests/engine``
-pin this class to its exact routing behaviour.
+:mod:`repro.legacy.nue_ref`; the equality tests pin this class to its
+exact routing behaviour, work counters included.
 """
 
 from __future__ import annotations
@@ -90,6 +96,9 @@ class CompleteCDG:
         #: initialised arbitrarily (channel id) and repaired locally on
         #: order-violating insertions.
         self._ord: List[int] = list(range(self.n_channels))
+        #: epoch-stamped visited marks of the cycle searches
+        self._stamp: List[int] = [0] * self.n_channels
+        self._epoch = 0
         #: per-channel retirement flags (fail-in-place): a retired
         #: channel's incident dependency edges are all in the RETIRED
         #: state and can never be used or unblocked again
@@ -171,15 +180,19 @@ class CompleteCDG:
             raise ValueError(f"({cp}, {cq}) is not a complete-CDG edge")
         return eid
 
-    def _mark_used(self, cp: int, cq: int) -> None:
-        """Force edge ``(c_p, c_q)`` used, bypassing the cycle guard."""
-        self._state[self._require_edge(cp, cq)] = 1
+    def _commit_used_id(self, eid: int, cp: int, cq: int) -> None:
+        """Record edge ``eid = (c_p, c_q)`` as used (no cycle check)."""
+        self._state[eid] = 1
         self._used_out[cp].append(cq)
         self._used_in[cq].append(cp)
         self._vertex_used[cp] = 1
         self._vertex_used[cq] = 1
         self._uf.union(cp, cq)
         self.n_used_edges += 1
+
+    def _mark_used(self, cp: int, cq: int) -> None:
+        """Force edge ``(c_p, c_q)`` used, bypassing the cycle guard."""
+        self._commit_used_id(self._require_edge(cp, cq), cp, cq)
 
     def block_edge(self, cp: int, cq: int) -> None:
         """Put edge into the *blocked* state (a routing restriction)."""
@@ -303,39 +316,48 @@ class CompleteCDG:
     def _forward_discover(
         self, start: int, ub: int, target: int
     ) -> Optional[List[int]]:
-        """Bounded forward DFS from ``start`` over used edges.
+        """Bounded forward search from ``start`` over used edges.
 
-        Visits only vertices with order <= ``ub``; returns None when
-        ``target`` is reached (a cycle), otherwise the visited set.
+        Visits only vertices with order < ``ub``; returns None when
+        ``target`` is reached (a cycle), otherwise the visited region.
         """
         self.cycle_searches += 1
         ordv = self._ord
         used_out = self._used_out
-        visited = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
+        stamp = self._stamp
+        epoch = self._epoch = self._epoch + 1
+        stamp[start] = epoch
+        # scan instead of an explicit stack: CPython list iterators pick
+        # up in-loop appends, and the bounded region is traversal-order
+        # independent (it is exactly the reachable set inside the order
+        # window)
+        region = [start]
+        for c in region:
             for nxt in used_out[c]:
-                if nxt == target:
-                    return None
-                if nxt not in visited and ordv[nxt] < ub:
-                    visited.add(nxt)
-                    stack.append(nxt)
-        return list(visited)
+                if stamp[nxt] != epoch:
+                    # the first encounter of target is always unstamped,
+                    # so testing it only here loses no cycle
+                    if nxt == target:
+                        return None
+                    if ordv[nxt] < ub:
+                        stamp[nxt] = epoch
+                        region.append(nxt)
+        return region
 
     def _backward_discover(self, start: int, lb: int) -> List[int]:
-        """Bounded backward DFS from ``start`` (order >= ``lb``)."""
+        """Bounded backward search from ``start`` (order > ``lb``)."""
         ordv = self._ord
         used_in = self._used_in
-        visited = {start}
-        stack = [start]
-        while stack:
-            c = stack.pop()
+        stamp = self._stamp
+        epoch = self._epoch = self._epoch + 1
+        stamp[start] = epoch
+        region = [start]
+        for c in region:
             for prv in used_in[c]:
-                if prv not in visited and ordv[prv] > lb:
-                    visited.add(prv)
-                    stack.append(prv)
-        return list(visited)
+                if stamp[prv] != epoch and ordv[prv] > lb:
+                    stamp[prv] = epoch
+                    region.append(prv)
+        return region
 
     def _pk_insert_check(self, cp: int, cq: int) -> bool:
         """Pearce-Kelly: check edge ``(cp, cq)`` and repair the order.
@@ -348,21 +370,21 @@ class CompleteCDG:
         lb, ub = ordv[cq], ordv[cp]
         if ub < lb:
             return True  # order already consistent: no cycle possible
-        d_forward = self._forward_discover(cq, ub, cp)
-        if d_forward is None:
+        fwd = self._forward_discover(cq, ub, cp)
+        if fwd is None:
             return False  # cq reaches cp: the edge closes a cycle
-        d_backward = self._backward_discover(cp, lb)
+        bwd = self._backward_discover(cp, lb)
         self.pk_reorders += 1
-        self.pk_reorder_moved += len(d_forward) + len(d_backward)
+        self.pk_reorder_moved += len(fwd) + len(bwd)
         # reorder: the backward region must precede the forward region;
         # both keep their internal relative order and together reuse
-        # the union of their old order slots, smallest first
-        slots = sorted(ordv[c] for c in d_backward + d_forward)
-        merged = (
-            sorted(d_backward, key=lambda c: ordv[c])
-            + sorted(d_forward, key=lambda c: ordv[c])
-        )
-        for c, slot in zip(merged, slots):
+        # the union of their old order slots, smallest first (in-place
+        # sorts on a bound C key method)
+        key = ordv.__getitem__
+        bwd.sort(key=key)
+        fwd.sort(key=key)
+        merged = bwd + fwd
+        for c, slot in zip(merged, sorted(map(key, merged))):
             ordv[c] = slot
         return True
 
@@ -399,13 +421,7 @@ class CompleteCDG:
             self._state[eid] = _B
             self.n_blocked_edges += 1
             return False
-        self._state[eid] = 1
-        self._used_out[cp].append(cq)
-        self._used_in[cq].append(cp)
-        self._vertex_used[cp] = 1
-        self._vertex_used[cq] = 1
-        self._uf.union(cp, cq)
-        self.n_used_edges += 1
+        self._commit_used_id(eid, cp, cq)
         return True
 
     def would_close_cycle(self, cp: int, cq: int) -> bool:

@@ -137,7 +137,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         return 2
     if args.algorithm == "nue":
         config.setdefault("partitioner", args.partitioner)
-        config.setdefault("kernel", args.kernel)
     try:
         algo = make_algorithm(
             args.algorithm, args.vls, workers=args.workers,
@@ -187,8 +186,7 @@ def _route_campaign(net, args: argparse.Namespace) -> int:
     res = run_campaign(
         net, schedule,
         max_vls=args.vls,
-        config=NueConfig(partitioner=args.partitioner,
-                         kernel=args.kernel),
+        config=NueConfig(partitioner=args.partitioner),
         seed=args.seed,
         strategy=args.campaign_strategy,
         timeout_s=args.campaign_timeout,
@@ -413,11 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memoise routing results (repro.engine cache)")
     r.add_argument("--partitioner", default="kway",
                    choices=["kway", "random", "cluster", "spectral"])
-    r.add_argument("--kernel", default="auto",
-                   choices=["auto", "python", "numba"],
-                   help="nue batch-kernel backend (auto = REPRO_KERNEL "
-                        "env override, else numba when installed, else "
-                        "python; output is bit-identical either way)")
     r.add_argument("--seed", type=int, default=None)
     r.add_argument("-o", "--output", default=None,
                    help="write tables as JSON (.npz extension selects "

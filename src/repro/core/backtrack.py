@@ -87,14 +87,13 @@ def resolve_islands(
     net = router.net
     cdg = router.cdg
     used = router._used
-    weights = router._w  # step-start weight snapshot (same doubles)
+    weights = router.weights
     progressed = False
     shortcuts = 0
-    islands_seen = 0
     candidates_tried = 0
 
-    for v in router._unreached(dest):
-        islands_seen += 1
+    islands = [v for v in range(net.n_nodes) if v != dest and used[v] < 0]
+    for v in islands:
         if used[v] >= 0:
             continue  # reached meanwhile by an earlier detour
         # rank candidates (cost, a, c): island channel c = (u, v) plus
@@ -140,7 +139,7 @@ def resolve_islands(
 
     if obs.enabled():
         obs.count_many({
-            "nue.islands_seen": islands_seen,
+            "nue.islands_seen": len(islands),
             "nue.backtrack_candidates": candidates_tried,
         }, layer=router.layer_index)
     return progressed, shortcuts
@@ -157,7 +156,7 @@ def _try_shortcuts(router: "NueLayerRouter", v: int) -> int:
         t = net.channel_dst[c]
         if used[t] < 0 or used[t] == c:
             continue
-        new_dist = router._dist_node[v] + router._w[c]
+        new_dist = router._dist_node[v] + router.weights[c]
         if new_dist >= router._dist_node[t]:
             continue
         if not cdg.dependency_exists(used[v], c):

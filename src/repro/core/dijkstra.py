@@ -3,6 +3,8 @@
 One *routing step* computes deadlock-free routes from every node toward
 one destination within one virtual layer, walking the layer's complete
 CDG and blocking cycle-closing dependencies on the fly.
+:meth:`NueLayerRouter.route_batch` runs the steps of a whole
+destination batch back to back on the layer's shared state.
 
 Orientation
 -----------
@@ -32,29 +34,37 @@ upstream dependency and every already-recorded downstream dependency
 Hot-path layout
 ---------------
 The inner loop runs on the network's CSR array core (``net.csr``): a
-channel's CDG successors are one contiguous ``dep_dst`` slice whose
-positions are flat edge ids, so the per-relaxation state probe is a
-single ``bytearray`` index — no dict hashing, no method call on the
-fast *already-used* and *blocked* branches.  Distance/used scratch
-buffers are plain Python lists preallocated per router and refilled
-per step (CPython indexes lists faster than 0-d numpy scalars); the
-channel weights are snapshotted to a list at step start (float64 and
+channel's CDG successors are one contiguous slice whose positions are
+flat edge ids, prebuilt per router into rows of ``(edge id, successor,
+head node)`` tuples, so the per-relaxation state probe is a single
+``bytearray`` index — no dict hashing, no method call on the fast
+*already-used* and *blocked* branches.  Distance/used scratch buffers
+and the channel weights are plain Python lists preallocated per router
+(CPython indexes lists faster than 0-d numpy scalars; float64 and
 Python floats are the same IEEE doubles, so arithmetic is
-bit-identical).  The pre-CSR implementation is frozen in
-:mod:`repro.legacy.nue_ref` and the engine equality tests pin this one
-to it, route-for-route and counter-for-counter.
+bit-identical), refilled from templates per step.  The balancing
+update only ever touches the step's forwarding forest, and the
+per-destination copy-rotation bias is a handful of sparse adds, so the
+weights are maintained in place across the batch.  Forwarding columns
+are scattered into the caller's ``int32`` block in one vectorised pass
+at the end of the batch.
+
+The pre-CSR implementation is frozen in :mod:`repro.legacy.nue_ref`
+and the equality tests pin this one to it, route-for-route and
+counter-for-counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import lcm
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-import heapq
-
 from repro.cdg.complete_cdg import CompleteCDG
+from repro.core.backtrack import resolve_islands
 from repro.core.escape import EscapePaths
 from repro.network.graph import Network
 from repro.obs import core as obs
@@ -64,20 +74,15 @@ __all__ = ["RoutingStep", "NueLayerRouter"]
 
 @dataclass
 class RoutingStep:
-    """Outcome of one Algorithm-1 routing step (one destination).
+    """Work record of one Algorithm-1 routing step (one destination).
 
-    ``used_channel[v]`` is the search-orientation channel entering
-    ``v``; node ``v`` forwards toward the destination on its reverse.
     The work tallies (heap traffic, edge relaxations) are kept as plain
     local integers during the search and flushed to :mod:`repro.obs`
-    in one batch when observation is enabled.
+    in one batch when observation is enabled.  Per-node state lives in
+    the caller's forwarding block, not here.
     """
 
     dest: int
-    used_channel: List[int] = field(default_factory=list)
-    dist_node: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.float64)
-    )
     fell_back: bool = False
     islands_resolved: int = 0
     shortcuts_taken: int = 0
@@ -91,10 +96,10 @@ class RoutingStep:
 class NueLayerRouter:
     """Routing state of one virtual layer: CDG, escape paths, weights.
 
-    Destinations of the layer are routed one
-    :meth:`route_step` at a time; blocked dependencies and channel
-    weights accumulate across steps, which is what makes later steps
-    respect the restrictions and balance of earlier ones.
+    Destinations of the layer are routed by :meth:`route_batch`, one
+    step after another; blocked dependencies and channel weights
+    accumulate across steps, which is what makes later steps respect
+    the restrictions and balance of earlier ones.
     """
 
     def __init__(
@@ -107,15 +112,16 @@ class NueLayerRouter:
         layer_index: int = 0,
         kernel: str = "python",
     ) -> None:
+        # inert: bench/workloads/route.py:88-93 passes kernel=<resolved name>
+        if kernel != "python":
+            raise ValueError(f"unknown kernel {kernel!r}; choose from ['python']")
         self.net = net
-        self.csr = net.csr
+        self.csr = csr = net.csr
         self.cdg = cdg
         self.escape = escape
         self.enable_backtracking = enable_backtracking
         self.enable_shortcuts = enable_shortcuts
-        #: resolved batch-kernel backend for :meth:`route_batch`
-        #: ("python" or "numba"; see :mod:`repro.core.kernels`)
-        self.kernel = kernel
+        self.layer_index = layer_index
         #: search-orientation channel weights (DFSSSP-style balancing);
         #: consistently search-side: entry c reflects the accumulated
         #: load of traffic channel rev(c).  The initial weight exceeds
@@ -124,15 +130,33 @@ class NueLayerRouter:
         #: shortest routes and detours only around CDG restrictions.
         n_dests = len(net.terminals) or net.n_nodes
         base = float((len(net.terminals) or net.n_nodes) * n_dests + 1)
-        self.weights = np.full(net.n_channels, base)
-        self.layer_index = layer_index
-        # parallel-channel bundles (redundant links) and each channel's
-        # copy index within its bundle — used to rotate the preferred
-        # copy per destination, OpenSM's port-group balancing trick;
-        # the grouping is static per network, so it lives on the CSR
-        # core and is shared by every layer router
-        self._bundles: List[List[int]] = self.csr.bundles
-        self._copy_index = self.csr.copy_index
+        self.weights: List[float] = [base] * net.n_channels
+        # balancing-source template: every terminal (or, on switch-only
+        # fabrics, every node) carries one unit of traffic; per step
+        # only the destination's own entry changes
+        self._sources: List[int] = [0] * net.n_nodes
+        for s in (net.terminals or range(net.n_nodes)):
+            self._sources[s] = 1
+        # parallel-channel bundles (redundant links) get a transient
+        # per-destination bias that rotates the preferred copy —
+        # OpenSM's port-group balancing trick.  A bundle's bias depends
+        # on the destination only through ``dest mod m`` (m = bundle
+        # size), so the non-zero (channel, bias) entries are cached per
+        # residue class modulo the lcm of the bundle sizes
+        self._bias_mod = lcm(*map(len, csr.bundles))
+        self._bias_pairs: Dict[int, List[Tuple[int, float]]] = {}
+        # per-channel relaxation rows of (edge id, successor channel,
+        # head node) triples, so the inner loop unpacks one prebuilt
+        # tuple instead of indexing three flat mirrors
+        dep_ptr = csr.dep_ptr_l
+        dep_dst = csr.dep_dst_l
+        head = csr.dep_head_l
+        self._rows: List[List[Tuple[int, int, int]]] = [
+            list(zip(range(dep_ptr[c], dep_ptr[c + 1]),
+                     dep_dst[dep_ptr[c]:dep_ptr[c + 1]],
+                     head[dep_ptr[c]:dep_ptr[c + 1]]))
+            for c in range(net.n_channels)
+        ]
         # per-step scratch, preallocated once and refilled per step
         # (templates make the refill one slice copy); the heap is a
         # lazy-deletion binary heap of (distance, channel) — stale
@@ -146,7 +170,6 @@ class NueLayerRouter:
         self._dist_node: List[float] = list(self._tmpl_node)
         self._dist_chan: List[float] = list(self._tmpl_chan)
         self._used: List[int] = list(self._tmpl_used)
-        self._w: List[float] = self.weights.tolist()
         self._heap: List[Tuple[float, int]] = []
         self._step_marked: Set[int] = set()  # edge ids this step used
         # per-step work tallies (flushed to repro.obs once per step)
@@ -157,120 +180,119 @@ class NueLayerRouter:
 
     # -- public API --------------------------------------------------------------
 
-    def route_step(self, dest: int) -> RoutingStep:
-        """Algorithm 1 for one destination, with impasse resolution.
-
-        Never fails: when the local backtracking cannot reconnect all
-        islands, the entire step falls back to the escape paths
-        (Section 4.6.2, option one), which Definition 7 guarantees to
-        work.
-        """
-        from repro.core.backtrack import resolve_islands
-
-        self._dist_node[:] = self._tmpl_node
-        self._dist_chan[:] = self._tmpl_chan
-        self._used[:] = self._tmpl_used
-        self._heap.clear()
-        self._step_marked.clear()
-        self._pops = self._stale = self._relax = self._pushes = 0
-        step = RoutingStep(dest=dest)
-
-        # rotate which parallel copy this destination prefers (a
-        # transient sub-unit epsilon; hop-count dominance and the
-        # >=1-unit balancing updates are never overpowered) — the
-        # destination-hash port-group rotation redundant fabrics need
-        bias = self._apply_copy_rotation(dest)
-        self._w = self.weights.tolist()
-        self._seed(dest)
-        self._run_main_loop()
-        while self.enable_backtracking and self._unreached(dest):
-            progressed, shortcuts = resolve_islands(self, dest)
-            step.shortcuts_taken += shortcuts
-            step.backtrack_rounds += 1
-            if not progressed:
-                break
-            step.islands_resolved += 1
-            self._run_main_loop()
-
-        if self._unreached(dest):
-            self._fall_back(dest)
-            step.fell_back = True
-
-        self._remove_copy_rotation(bias)
-        self._update_weights(dest)
-        step.used_channel = list(self._used)
-        step.dist_node = np.asarray(self._dist_node, dtype=np.float64)
-        step.heap_pops = self._pops
-        step.stale_pops = self._stale
-        step.relaxations = self._relax
-        step.heap_pushes = self._pushes
-        if obs.enabled():
-            obs.count_many({
-                "nue.route_steps": 1,
-                "nue.heap_pops": step.heap_pops,
-                "nue.stale_pops": step.stale_pops,
-                "nue.relaxations": step.relaxations,
-                "nue.heap_pushes": step.heap_pushes,
-                "nue.backtracks": step.islands_resolved,
-                "nue.backtrack_rounds": step.backtrack_rounds,
-                "nue.shortcuts": step.shortcuts_taken,
-                "nue.escape_fallbacks": int(step.fell_back),
-            }, layer=self.layer_index)
-            # per-step work-shape distributions: one histogram event
-            # each, so a whole layer's steps remain comparable across
-            # topologies regardless of destination count
-            obs.observe("nue.step.heap_pops", step.heap_pops,
-                        layer=self.layer_index)
-            obs.observe("nue.step.relaxations", step.relaxations,
-                        layer=self.layer_index)
-        return step
-
-    def route_destination(self, dest: int) -> Tuple[np.ndarray, RoutingStep]:
-        """Per-destination rerouting entry point (fail-in-place repair).
-
-        Runs one :meth:`route_step` and returns the *traffic-direction*
-        forwarding column — ``col[v]`` is the channel node ``v``
-        forwards on toward ``dest`` (-1 at ``dest``) — alongside the
-        raw step.  The column has exactly the layout of one
-        ``RoutingResult.next_channel`` column, which is what the
-        resilience engine scatters back into a retained table.
-        """
-        step = self.route_step(dest)
-        rev = self.csr.channel_reverse
-        u = np.asarray(step.used_channel, dtype=np.int32)
-        col = np.where(u >= 0, rev[u], np.int32(-1)).astype(np.int32)
-        col[dest] = -1
-        return col, step
-
     def route_batch(
         self,
         dests: Sequence[int],
         block: np.ndarray,
         cols: Optional[Sequence[int]] = None,
     ) -> List[RoutingStep]:
-        """Route a batch of destinations through the layer kernel.
+        """Algorithm 1 for every destination of ``dests``, in order.
 
-        The batched twin of calling :meth:`route_step` once per
-        destination: destinations are committed in ``dests`` order on
-        the shared layer state (weights, CDG restrictions), and every
-        backend is pinned **bit-identical** to the scalar loop —
-        forwarding tables, CDG state and work counters alike.  The
-        *traffic-direction* forwarding column of ``dests[i]`` is
-        written into ``block[:, cols[i]]`` (``cols`` defaults to
-        ``0..len(dests)-1``); the returned steps carry the work tallies
-        but leave ``used_channel``/``dist_node`` empty — per-node state
-        lives in the block, so the per-step ``list``/``ndarray``
-        snapshots the scalar path pays for are skipped.
-
-        The backend was chosen at construction (``kernel=``, resolved
-        by :func:`repro.core.kernels.resolve_kernel`); dispatch is one
-        registry lookup, so per-batch overhead is nil.
+        Each step runs the modified Dijkstra with impasse resolution
+        and never fails: when the local backtracking cannot reconnect
+        all islands, the entire step falls back to the escape paths
+        (Section 4.6.2, option one), which Definition 7 guarantees to
+        work.  Steps are committed in ``dests`` order on the shared
+        layer state (weights, CDG restrictions).  The
+        *traffic-direction* forwarding column of ``dests[i]`` —
+        ``col[v]`` is the channel node ``v`` forwards on toward the
+        destination, -1 at the destination itself — is written into
+        ``block[:, cols[i]]`` (``cols`` defaults to
+        ``0..len(dests)-1``); the returned steps carry the work
+        tallies.
         """
-        from repro.core.kernels import get_kernel
+        dests = list(dests)
+        cols = list(range(len(dests))) if cols is None else list(cols)
+        if len(cols) != len(dests):
+            raise ValueError(
+                f"route_batch got {len(dests)} destinations but "
+                f"{len(cols)} columns"
+            )
+        if not dests:
+            return []
+        wl = self.weights
+        used = self._used
+        steps: List[RoutingStep] = []
+        used_snapshots: List[List[int]] = []
 
-        if cols is None:
-            cols = list(range(len(dests)))
-        return get_kernel(self.kernel)(self, list(dests), block, list(cols))
+        for dest in dests:
+            self._dist_node[:] = self._tmpl_node
+            self._dist_chan[:] = self._tmpl_chan
+            used[:] = self._tmpl_used
+            self._heap.clear()
+            self._step_marked.clear()
+            self._pops = self._stale = self._relax = self._pushes = 0
+            step = RoutingStep(dest=dest)
+
+            # rotate which parallel copy this destination prefers (a
+            # transient sub-unit epsilon; hop-count dominance and the
+            # >=1-unit balancing updates are never overpowered) — the
+            # destination-hash port-group rotation redundant fabrics
+            # need
+            bias_pairs = self._copy_rotation(dest)
+            for ch, b in bias_pairs:
+                wl[ch] += b
+
+            self._seed(dest)
+            # unreached-node accounting without per-round O(n) list
+            # scans: ``used`` only transitions -1 -> c (the dest entry
+            # stays -1), so count once after seeding (C-fast) and
+            # subtract the main loop's fresh reaches; island resolution
+            # rewrites ``used`` arbitrarily, so recount after each
+            # (rare) backtrack round
+            miss = used.count(-1) - 1
+            miss -= self._main_loop()
+            while miss and self.enable_backtracking:
+                progressed, shortcuts = resolve_islands(self, dest)
+                step.shortcuts_taken += shortcuts
+                step.backtrack_rounds += 1
+                if not progressed:
+                    break
+                step.islands_resolved += 1
+                self._main_loop()
+                miss = used.count(-1) - 1
+            if miss:
+                self._fall_back(dest)
+                step.fell_back = True
+
+            for ch, b in bias_pairs:
+                wl[ch] -= b
+            self._update_weights(dest)
+
+            used_snapshots.append(used.copy())
+            step.heap_pops = self._pops
+            step.stale_pops = self._stale
+            step.relaxations = self._relax
+            step.heap_pushes = self._pushes
+            if obs.enabled():
+                obs.count_many({
+                    "nue.route_steps": 1,
+                    "nue.heap_pops": step.heap_pops,
+                    "nue.stale_pops": step.stale_pops,
+                    "nue.relaxations": step.relaxations,
+                    "nue.heap_pushes": step.heap_pushes,
+                    "nue.backtracks": step.islands_resolved,
+                    "nue.backtrack_rounds": step.backtrack_rounds,
+                    "nue.shortcuts": step.shortcuts_taken,
+                    "nue.escape_fallbacks": int(step.fell_back),
+                }, layer=self.layer_index)
+                # per-step work-shape distributions: one histogram
+                # event each, so a whole layer's steps remain
+                # comparable across topologies regardless of
+                # destination count
+                obs.observe("nue.step.heap_pops", step.heap_pops,
+                            layer=self.layer_index)
+                obs.observe("nue.step.relaxations", step.relaxations,
+                            layer=self.layer_index)
+            steps.append(step)
+
+        # scatter the traffic-direction columns in one vectorised pass:
+        # node v forwards toward dest on the reverse of its used channel
+        u = np.array(used_snapshots, dtype=np.int32).T  # (n_nodes, n_dests)
+        out = np.where(u >= 0, self.csr.channel_reverse[u], np.int32(-1))
+        out[dests, np.arange(len(dests))] = -1
+        block[:, cols] = out
+        return steps
 
     def adopt_column(self, dest: int, next_channel_col) -> None:
         """Re-mark a retained forwarding column as this layer's state.
@@ -314,32 +336,29 @@ class NueLayerRouter:
             if p == dest:
                 continue
             cp = used[p]
-            if cp >= 0 and not self.try_use_dependency(cp, cq):
+            if cp >= 0 and not cdg.try_use_edge(cp, cq):
                 raise ValueError(
                     f"retained column for {net.node_names[dest]} "
                     "conflicts with the rebuilt escape state (blocked "
                     "edge or dependency cycle)"
                 )
-        self._step_marked.clear()
         self._update_weights(dest)
 
-    def _apply_copy_rotation(self, dest: int):
-        """Bias each bundle's copies so copy ``(i - dest) mod m`` is
-        cheapest for this destination; returns the bias to remove."""
-        if not self._bundles:
-            return None
-        eps = 1.0 / 1024.0
-        bias = np.zeros(self.net.n_channels)
-        for bundle in self._bundles:
-            m = len(bundle)
-            for i, ch in enumerate(bundle):
-                bias[ch] = eps * ((i - dest) % m)
-        self.weights += bias
-        return bias
-
-    def _remove_copy_rotation(self, bias) -> None:
-        if bias is not None:
-            self.weights -= bias
+    def _copy_rotation(self, dest: int) -> List[Tuple[int, float]]:
+        """Non-zero ``(channel, bias)`` entries making copy
+        ``(i - dest) mod m`` of every bundle cheapest for ``dest``."""
+        r = dest % self._bias_mod
+        pairs = self._bias_pairs.get(r)
+        if pairs is None:
+            eps = 1.0 / 1024.0
+            pairs = [
+                (ch, eps * ((i - r) % len(bundle)))
+                for bundle in self.csr.bundles
+                for i, ch in enumerate(bundle)
+                if (i - r) % len(bundle)
+            ]
+            self._bias_pairs[r] = pairs
+        return pairs
 
     # -- initialisation ------------------------------------------------------------
 
@@ -373,7 +392,7 @@ class NueLayerRouter:
                 if retired[cq]:
                     continue
                 y = net.channel_dst[cq]
-                alt = self._w[cq]
+                alt = self.weights[cq]
                 if alt < self._dist_node[y]:
                     self.cdg.mark_vertex_used(cq)
                     self._dist_node[y] = alt
@@ -385,61 +404,62 @@ class NueLayerRouter:
 
     def heap_push(self, chan: int, dist: float) -> None:
         """Enqueue (or re-enqueue with a better key) a channel."""
-        heapq.heappush(self._heap, (dist, chan))
+        heappush(self._heap, (dist, chan))
         self._pushes += 1
 
-    def _run_main_loop(self) -> None:
+    def _main_loop(self) -> int:
         """Algorithm 1 lines 10–23 under the expansion discipline.
 
         Everything on the per-relaxation path is a local list /
-        bytearray index: CSR successor slices (positions = edge ids),
-        the CDG state byte, and the scratch distance lists.  Only a
-        state-0 edge (a fresh dependency needing a cycle check) or a
-        re-wire leaves this frame.
+        bytearray index: prebuilt relaxation rows, the CDG state byte,
+        and the scratch distance lists.  Only a state-0 edge (a fresh
+        dependency needing Algorithm 3's cycle check) or a re-wire
+        leaves this frame.  Returns the number of nodes newly reached.
         """
         cdg = self.cdg
         heap = self._heap
         dist_node = self._dist_node
         dist_chan = self._dist_chan
         used = self._used
-        wts = self._w
+        wl = self.weights
         dst_of = self.csr.dst_l
-        dep_ptr = self.csr.dep_ptr_l
-        dep_dst = self.csr.dep_dst_l
+        rows = self._rows
         state = cdg._state
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        try_use = cdg.try_use_edge_id
+        mark = self._step_marked.add
+        enable_shortcuts = self.enable_shortcuts
         # plain local tallies: cheap enough to run unconditionally and
-        # folded into the per-step obs flush (see route_step)
-        pops = stale = relax = pushes = 0
+        # folded into the per-step obs flush (see route_batch)
+        pops = stale = relax = pushes = fresh = 0
         while heap:
             d_cp, cp = heappop(heap)
             pops += 1
             if d_cp > dist_chan[cp]:
                 stale += 1
                 continue  # stale key: the channel was re-queued cheaper
-            x = dst_of[cp]
-            if used[x] != cp:
+            if used[dst_of[cp]] != cp:
                 stale += 1
-                continue  # stale: x was re-wired to a better channel
-            for e in range(dep_ptr[cp], dep_ptr[cp + 1]):
-                cq = dep_dst[e]
-                y = dst_of[cq]
-                alt = d_cp + wts[cq]
-                relax += 1
+                continue  # stale: the head was re-wired to a better channel
+            row = rows[cp]
+            relax += len(row)
+            for e, cq, y in row:
+                alt = d_cp + wl[cq]
                 if alt < dist_node[y]:
-                    if used[y] < 0:
+                    uy = used[y]
+                    if uy < 0:
                         st = state[e]
-                        if st == 1 or (
-                            st == 0 and self._try_use_fresh(e, cp, cq)
-                        ):
+                        if st == 0 and try_use(e, cp, cq):
+                            mark(e)
+                            st = 1
+                        if st == 1:
                             used[y] = cq
                             dist_node[y] = alt
                             dist_chan[cq] = alt
                             heappush(heap, (alt, cq))
                             pushes += 1
+                            fresh += 1  # the loop's only -1 -> c transition
                         # else: edge became a blocked routing restriction
-                    elif used[y] != cq:
+                    elif uy != cq:
                         # y is being *re-wired*.  Under plain Dijkstra a
                         # node's channel is final once it pops, but the
                         # backtracking of §4.6.2 can open shorter routes
@@ -449,17 +469,16 @@ class NueLayerRouter:
                         # recorded toward y's current tree children must
                         # be re-validated on the new in-channel, exactly
                         # as a backtracking re-base would.
-                        if not self.enable_shortcuts:
-                            continue
+                        if not enable_shortcuts or state[e] >= 2:
+                            continue  # blocked/retired: commit would fail
                         needed = self.child_rebase_dependencies(y, cq)
                         if needed is None:
                             continue
-                        old = used[y]
                         if self.try_use_dependencies_atomic(
                             [(cp, cq)] + needed
                         ):
                             for _, child in needed:
-                                self.unuse_step_dependency(old, child)
+                                self.unuse_step_dependency(uy, child)
                             used[y] = cq
                             dist_node[y] = alt
                             dist_chan[cq] = alt
@@ -470,9 +489,10 @@ class NueLayerRouter:
                         # to feed it is impossible — cq's dependency from
                         # cp is what improved); just update the keys
                         st = state[e]
-                        if st == 1 or (
-                            st == 0 and self._try_use_fresh(e, cp, cq)
-                        ):
+                        if st == 0 and try_use(e, cp, cq):
+                            mark(e)
+                            st = 1
+                        if st == 1:
                             dist_node[y] = alt
                             dist_chan[cq] = alt
                             heappush(heap, (alt, cq))
@@ -481,6 +501,7 @@ class NueLayerRouter:
         self._stale += stale
         self._relax += relax
         self._pushes += pushes
+        return fresh
 
     def child_rebase_dependencies(
         self, node: int, alt: int
@@ -491,41 +512,18 @@ class NueLayerRouter:
         Returns None when a child sits behind a 180-degree turn from
         ``alt``, in which case the re-base is impossible.
         """
-        net = self.net
-        cdg = self.cdg
+        used = self._used
+        dst_of = self.csr.dst_l
+        src_of = self.csr.src_l
+        head = dst_of[alt]
+        tail = src_of[alt]
         needed: List[Tuple[int, int]] = []
-        for cq in net.out_channels[node]:
-            if self._used[net.channel_dst[cq]] == cq:
-                if not cdg.dependency_exists(alt, cq):
-                    return None
+        for cq in self.net.out_channels[node]:
+            if used[dst_of[cq]] == cq:
+                if src_of[cq] != head or dst_of[cq] == tail:
+                    return None  # (alt, cq) is not a complete-CDG edge
                 needed.append((alt, cq))
         return needed
-
-    def _try_use_fresh(self, eid: int, cp: int, cq: int) -> bool:
-        """Cycle-check-and-use an *unused* edge by id (hot-path slice).
-
-        Caller has already ruled out the used/blocked states, so a
-        success always means this step owns the edge.
-        """
-        if self.cdg.try_use_edge_id(eid, cp, cq):
-            self._step_marked.add(eid)
-            return True
-        return False
-
-    def try_use_dependency(self, cp: int, cq: int) -> bool:
-        """Cycle-checked edge use with per-step bookkeeping.
-
-        Wraps :meth:`CompleteCDG.try_use_edge_id`, remembering which
-        edges *this* step marked so the shortcut optimisation can
-        revert exactly those (Section 4.6.3) without touching
-        dependencies owned by earlier destinations.
-        """
-        eid = self.csr.edge_id(cp, cq)
-        was_used = self.cdg._state[eid] == 1
-        ok = self.cdg.try_use_edge_id(eid, cp, cq)
-        if ok and not was_used:
-            self._step_marked.add(eid)
-        return ok
 
     def try_use_dependencies_atomic(
         self, edges: Sequence[Tuple[int, int]]
@@ -534,8 +532,13 @@ class NueLayerRouter:
 
         Edges are checked sequentially (each cycle check sees the ones
         already added — they can interact); on failure everything this
-        call added is reverted, including the fresh blocked marker, so
-        the CDG returns to its exact prior state.
+        call added is reverted, so the CDG returns to its exact prior
+        state: a fresh edge that fails its cycle check is not left
+        blocked, and reverted edges keep only their ω merge.  Edges
+        this call marks are remembered as owned by the current step,
+        so the shortcut optimisation can revert exactly those
+        (Section 4.6.3) without touching dependencies owned by earlier
+        destinations.
         """
         cdg = self.cdg
         state = cdg._state
@@ -544,20 +547,17 @@ class NueLayerRouter:
         added: List[int] = []
         for cp, cq in edges:
             eid = edge_id(cp, cq)
-            before = state[eid]
-            if cdg.try_use_edge_id(eid, cp, cq):
-                if before != 1:
-                    marked.add(eid)
-                    added.append(eid)
-            else:
+            st = state[eid]
+            if st == 1:
+                continue  # already used: nothing added, nothing to revert
+            if st != 0 or not cdg._pk_insert_check(cp, cq):
                 for e2 in reversed(added):
                     cdg._revert_used_id(e2)
                     marked.discard(e2)
-                if before == 0:
-                    # try_use_edge_id just blocked it against a state
-                    # we are rolling back — restore exactly
-                    cdg._revert_blocked_id(eid)
                 return False
+            cdg._commit_used_id(eid, cp, cq)
+            marked.add(eid)
+            added.append(eid)
         return True
 
     def unuse_step_dependency(self, cp: int, cq: int) -> bool:
@@ -570,12 +570,6 @@ class NueLayerRouter:
         return False
 
     # -- impasse handling ----------------------------------------------------------
-
-    def _unreached(self, dest: int) -> List[int]:
-        return [
-            v for v in range(self.net.n_nodes)
-            if v != dest and self._used[v] < 0
-        ]
 
     def _fall_back(self, dest: int) -> None:
         """Escape-path fallback for the entire routing step.
@@ -596,46 +590,49 @@ class NueLayerRouter:
 
         Adds, to every channel of the step's forwarding forest, the
         number of terminal routes crossing it (computed by subtree
-        accumulation in O(|N|)).  Runs on plain lists (ints and the
-        CSR channel-source mirror); the stable descending-depth order
-        matches the previous stable argsort tie-for-tie, and the
-        per-channel increments are exact integer adds either way.
+        accumulation in O(|N|)): nodes are visited in descending depth,
+        ascending node id within a depth (a counting sort over depths).
+        Each node's in-channel is unique, so every channel receives at
+        most one exact integer-valued add per step.
         """
-        net = self.net
-        n = net.n_nodes
-        sources = net.terminals or list(range(n))
-        total = [0] * n
-        for s in sources:
-            if s != dest:
-                total[s] += 1
-        # depth over the used-channel forest (distances can be
-        # non-monotone after backtracking, so follow the tree itself)
+        n = self.net.n_nodes
         used = self._used
         src_of = self.csr.src_l
+        wl = self.weights
+        total = self._sources.copy()
+        total[dest] = 0  # a destination is never its own traffic source
+        # depth over the used-channel forest (distances can be
+        # non-monotone after backtracking, so follow the tree itself)
         depth = [-1] * n
         depth[dest] = 0
+        maxd = 0
+        stack: List[int] = []  # one reused chain scratch
         for v in range(n):
             if depth[v] >= 0 or used[v] < 0:
                 continue
-            chain = []
             u = v
             while depth[u] < 0 and used[u] >= 0:
-                chain.append(u)
+                stack.append(u)
                 u = src_of[used[u]]
             base = depth[u]
             if base < 0:
+                stack.clear()
                 continue
-            for i, w in enumerate(reversed(chain), start=1):
-                depth[w] = base + i
-        # descending depth, ties in node order (sorted() is stable
-        # under reverse=True, matching argsort(-depth, kind="stable"))
-        order = sorted(range(n), key=depth.__getitem__, reverse=True)
-        weights = self.weights
-        for v in order:
-            c = used[v]
-            if c < 0 or v == dest or depth[v] <= 0:
-                continue
-            weights[c] += total[v]
-            total[src_of[c]] += total[v]
+            while stack:
+                base += 1
+                depth[stack.pop()] = base  # pops nearest-to-root first
+            if base > maxd:
+                maxd = base  # the last label is v's own depth
+        buckets: List[List[int]] = [[] for _ in range(maxd + 1)]
+        for v in range(n):
+            d = depth[v]
+            if d > 0:
+                buckets[d].append(v)
+        for d in range(maxd, 0, -1):
+            for v in buckets[d]:
+                c = used[v]
+                t = total[v]
+                wl[c] += t
+                total[src_of[c]] += t
         # weights grow monotonically and stay positive (Lemma 1 relies
         # on strictly positive weights)

@@ -21,7 +21,7 @@ among the baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,30 +57,21 @@ class NueConfig:
     verify_acyclic:
         Re-check every layer's CDG with an exact Kahn pass after
         routing (cheap insurance; on by default).
-    kernel:
-        Batch-kernel backend for the per-layer routing steps:
-        ``"auto"`` (default — ``REPRO_KERNEL`` env override, else
-        numba when importable, else python), ``"python"`` or
-        ``"numba"``.  Validated eagerly; can never change routing
-        output (every backend is pinned bit-identical) — only speed.
-        See :mod:`repro.core.kernels`.
     """
 
     partitioner: str = "kway"
     enable_backtracking: bool = True
     enable_shortcuts: bool = True
     verify_acyclic: bool = True
-    kernel: str = "auto"
+    # inert, not a field: bench/workloads/route.py:67 reads cfg.kernel
+    kernel: ClassVar[str] = "python"
 
     def validate(self) -> None:
         """Eager one-line validation (the registry calls this).
 
-        An unknown partitioner, or an unknown/locally unavailable
-        kernel — including one named by a ``REPRO_KERNEL`` override
-        that ``"auto"`` would consult — fails here with the one-line
-        error, not deep inside a layer worker.
+        An unknown partitioner fails here with the one-line error, not
+        deep inside a layer worker.
         """
-        from repro.core.kernels import resolve_kernel
         from repro.partition import available_partitioners
 
         names = available_partitioners()
@@ -89,7 +80,6 @@ class NueConfig:
                 f"unknown nue partitioner {self.partitioner!r}; "
                 f"choose from {names}"
             )
-        resolve_kernel(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -110,23 +100,15 @@ class _LayerConfig:
     enable_shortcuts: bool
     verify_acyclic: bool
     single_layer: bool
-    #: *resolved* batch-kernel backend ("python"/"numba") — resolved in
-    #: the parent by :func:`repro.core.kernels.resolve_kernel` so every
-    #: pool worker runs the same backend regardless of its own
-    #: environment/auto-detection
-    kernel: str = "python"
 
     @classmethod
     def from_config(cls, cfg: NueConfig,
                     single_layer: bool) -> "_LayerConfig":
-        from repro.core.kernels import resolve_kernel
-
         return cls(
             enable_backtracking=cfg.enable_backtracking,
             enable_shortcuts=cfg.enable_shortcuts,
             verify_acyclic=cfg.verify_acyclic,
             single_layer=single_layer,
-            kernel=resolve_kernel(cfg.kernel),
         )
 
 
@@ -190,7 +172,6 @@ def build_layer_state(
         enable_backtracking=cfg.enable_backtracking,
         enable_shortcuts=cfg.enable_shortcuts,
         layer_index=layer_idx,
-        kernel=cfg.kernel,
     )
 
 
@@ -217,7 +198,7 @@ def _route_layer(
     could be allocated, or it cannot be attached) the block returns in
     the task result and the parent scatters it.  Either way the values
     are bit-identical: the block is staged
-    and filled locally by the exact same batched kernel.  The spawned
+    and filled locally by the same ``route_batch`` call.  The spawned
     ``layer_seed`` is carried for forward compatibility — no current
     layer computation draws from it.
     """
@@ -236,9 +217,8 @@ def _route_layer(
             "shortcuts_taken": 0,
         }
         block = np.full((net.n_nodes, len(subset)), -1, dtype=np.int32)
-        # one batched kernel call per layer (PR 8): all destinations
-        # advance on the shared CDG/weight state, bit-identical to the
-        # former per-destination route_step loop
+        # one call per layer: all destinations advance on the shared
+        # CDG/weight state in subset order
         for step in router.route_batch(subset, block):
             if step.fell_back:
                 layer_stats["fallbacks"] += 1  # type: ignore[operator]
@@ -279,17 +259,12 @@ class NueRouting(RoutingAlgorithm):
 
     def cache_config(self):
         cfg = self.config
-        # ``kernel`` is part of the identity even though backends are
-        # bit-identical: a cache must never satisfy an explicit
-        # kernel="numba" request with state computed under another
-        # backend's availability assumptions
         return (
             self.max_vls,
             cfg.partitioner,
             cfg.enable_backtracking,
             cfg.enable_shortcuts,
             cfg.verify_acyclic,
-            cfg.kernel,
         )
 
     def _route(

@@ -179,11 +179,13 @@ def _collect(fn: Callable[[Any, Any], Any], packed: Any,
             pool.submit(fabric._run_fabric_task, fn, packed, task, capture)
             for task in tasks
         ]
-        if live.active() is None:
+        agg = live.active()
+        if agg is None:
             return [fut.result() for fut in futures]
         # live telemetry: fold streamed worker events into the parent
         # aggregates *while* the fan-out is in flight, so counters and
         # histograms advance before the last task returns
+        folded_before = agg.events_folded
         results: List[Tuple[Any, List[dict]]] = []
         for fut in futures:
             while True:
@@ -191,8 +193,14 @@ def _collect(fn: Callable[[Any, Any], Any], packed: Any,
                     results.append(fut.result(timeout=0.05))
                     break
                 except FutureTimeout:
-                    live.pump()
-        live.pump()
+                    agg.pump()
+        # the bus can lag the results: keep folding (bounded) until
+        # every event the workers reported forwarding has arrived
+        forwarded = sum(
+            int(ev["n"]) for _, summary in results for ev in summary
+            if ev.get("name") == live.FORWARDED_COUNTER
+        )
+        agg.pump_until(folded_before + forwarded)
         return results
     except BrokenProcessPool:
         fabric.discard_pool(wait=False)

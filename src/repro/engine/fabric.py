@@ -633,8 +633,8 @@ def _run_fabric_task(fn, ctx: Any, task: Any,
     packed) and the obs capture flag too, because the pool outlives
     any single ``run_layer_tasks`` call.  With a live bus attached the
     events stream to the parent as they happen (plus heartbeats) and
-    only a drop summary is returned; otherwise the raw event list
-    rides back for replay.
+    only a forwarded/dropped summary is returned; otherwise the raw
+    event list rides back for replay.
     """
     if not capture_obs:
         return fn(unpack_ctx(ctx), task), []

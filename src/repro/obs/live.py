@@ -68,6 +68,8 @@ __all__ = [
     "worker_publisher",
     "heartbeat_gauge_name",
     "DROP_COUNTER",
+    "FORWARDED_COUNTER",
+    "LATE_COUNTER",
 ]
 
 #: default bounded-buffer capacity (events); sized so the reference
@@ -76,6 +78,14 @@ DEFAULT_BUFFER = 65536
 
 #: counter name under which worker-side drops surface in the parent
 DROP_COUNTER = "obs.live.dropped"
+
+#: counter name under which a task reports how many events its worker
+#: put on the bus (rides the task result, so the parent knows how many
+#: streamed events to wait for)
+FORWARDED_COUNTER = "obs.live.forwarded"
+
+#: counter name for streamed events a fan-out gave up waiting for
+LATE_COUNTER = "obs.live.late_events"
 
 
 def heartbeat_gauge_name(pid: Optional[int] = None) -> str:
@@ -251,6 +261,25 @@ class LiveAggregator:
             self.write_status(now)
         return n
 
+    def pump_until(self, folded: int, timeout_s: float = 2.0) -> int:
+        """Pump until :attr:`events_folded` reaches ``folded``.
+
+        A worker's events ride its queue feeder thread, which can lag
+        the task result; the fan-out therefore waits for the event
+        count its workers reported before it returns.  Bounded: after
+        ``timeout_s`` the shortfall is counted on
+        :data:`LATE_COUNTER` and returned instead of waited for.
+        """
+        deadline = time.monotonic() + timeout_s
+        self.pump()
+        while self.events_folded < folded and time.monotonic() < deadline:
+            time.sleep(0.002)
+            self.pump()
+        late = max(0, folded - self.events_folded)
+        if late:
+            core.count(LATE_COUNTER, late)
+        return late
+
     def _track(self, ev: Dict[str, object]) -> None:
         if ev.get("type") != "gauge":
             return
@@ -400,9 +429,10 @@ def run_streamed(fn, ctx, task) -> Tuple[object, List[Dict[str, object]]]:
 
     The worker-side counterpart of the replay path: observation is
     enabled onto a :class:`BusSink` (plus heartbeats around the task),
-    and instead of the raw event list only a drop summary is returned
-    — the parent folds the stream, so returning the events too would
-    double-count.
+    and instead of the raw event list only a summary is returned —
+    how many events were forwarded to the bus and, if any, how many
+    were dropped; the parent folds the stream, so returning the events
+    too would double-count.
     """
     publish = worker_publisher()
     assert publish is not None, "run_streamed requires an attached bus"
@@ -415,7 +445,9 @@ def run_streamed(fn, ctx, task) -> Tuple[object, List[Dict[str, object]]]:
     finally:
         core.gauge(heartbeat_gauge_name(), time.time())
         core.disable()
-    summary: List[Dict[str, object]] = []
+    summary: List[Dict[str, object]] = [
+        {"type": "counter", "name": FORWARDED_COUNTER, "n": sink.forwarded}
+    ]
     if sink.dropped:
         summary.append({"type": "counter", "name": DROP_COUNTER,
                         "n": sink.dropped})

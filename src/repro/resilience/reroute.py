@@ -140,19 +140,18 @@ def _repair_layer(
             "islands_resolved": 0,
             "shortcuts_taken": 0,
         }
-        # recompute the dirty destinations as one batched kernel call
-        # (subset order preserved, so state evolution — weights, CDG
-        # bytes — matches the former per-destination loop exactly)
+        # recompute the dirty destinations in one call (subset order
+        # preserved, so state evolution — weights, CDG bytes — is that
+        # of routing them one after another)
         dirty_cols = [col for col, flag in enumerate(dirty_flags) if flag]
         dirty_dests = [subset[col] for col in dirty_cols]
-        if dirty_dests:
-            for step in router.route_batch(dirty_dests, new_block,
-                                           cols=dirty_cols):
-                stats["recomputed"] += 1  # type: ignore[operator]
-                if step.fell_back:
-                    stats["fallbacks"] += 1  # type: ignore[operator]
-                stats["islands_resolved"] += step.islands_resolved  # type: ignore[operator]
-                stats["shortcuts_taken"] += step.shortcuts_taken  # type: ignore[operator]
+        for step in router.route_batch(dirty_dests, new_block,
+                                       cols=dirty_cols):
+            stats["recomputed"] += 1  # type: ignore[operator]
+            if step.fell_back:
+                stats["fallbacks"] += 1  # type: ignore[operator]
+            stats["islands_resolved"] += step.islands_resolved  # type: ignore[operator]
+            stats["shortcuts_taken"] += step.shortcuts_taken  # type: ignore[operator]
         if cfg.verify_acyclic:
             router.cdg.assert_acyclic()
         if obs.enabled():

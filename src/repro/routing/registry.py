@@ -226,7 +226,6 @@ def _ensure_builtins() -> None:
     if _builtins_registered:
         return
     _builtins_registered = True
-    from repro.core.kernels import available_kernels
     from repro.core.nue import NueConfig, NueRouting
     from repro.routing.dfsssp import DFSSSPConfig, DFSSSPRouting
     from repro.routing.dor import DORConfig, DORRouting
@@ -242,8 +241,7 @@ def _ensure_builtins() -> None:
 
     @register("nue", config_cls=NueConfig,
               description="this paper: complete-CDG Dijkstra, "
-                          "deadlock-free at any k >= 1 (kernels: "
-                          + ", ".join(available_kernels()) + ")")
+                          "deadlock-free at any k >= 1")
     def _make_nue(max_vls: int, workers: Optional[int],
                   config: NueConfig) -> RoutingAlgorithm:
         return NueRouting(max_vls, config, workers=workers)

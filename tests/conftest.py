@@ -12,6 +12,8 @@ import pytest
 # result_digest``) regardless of which subdirectory they live in
 sys.path.insert(0, os.path.dirname(__file__))
 
+import numpy as np
+
 from repro import obs
 from repro.network.topologies import (
     binary_tree,
@@ -23,6 +25,20 @@ from repro.network.topologies import (
     ring,
     torus,
 )
+
+
+def route_one(router, dest):
+    """One routing step on a layer router: ``(step, used_channel)``.
+
+    ``used_channel[v]`` is the search-orientation channel entering
+    ``v`` — the reverse of the forwarding column ``route_batch`` wrote
+    (-1 at the destination).
+    """
+    net = router.net
+    block = np.full((net.n_nodes, 1), -1, dtype=np.int32)
+    (step,) = router.route_batch([dest], block)
+    rev = net.channel_reverse
+    return step, [int(rev[c]) if c >= 0 else -1 for c in block[:, 0]]
 
 
 @pytest.fixture(autouse=True)

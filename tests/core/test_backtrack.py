@@ -7,6 +7,7 @@ island; only the 2-hop backtracking (re-basing the gateway onto its
 tree in-channel) — or the escape fallback — can reach it.
 """
 
+from conftest import route_one
 
 from repro.cdg.complete_cdg import CompleteCDG
 from repro.core.dijkstra import NueLayerRouter
@@ -82,13 +83,13 @@ class TestEngineeredImpasse:
         router = make_router(net, p, range(net.n_nodes))
         # the restriction: shortcut channel cannot feed the pocket
         router.cdg.block_edge(chan(net, d, u), chan(net, u, x))
-        step = router.route_step(d)
+        step, used_channel = route_one(router, d)
         assert not step.fell_back
         assert step.islands_resolved >= 1
         # x is reached, and through the tree in-channel of u (the
         # re-based alternative), i.e. the chain runs x <- u <- p <- d
-        assert step.used_channel[x] == chan(net, u, x)
-        assert step.used_channel[u] == chan(net, p, u)
+        assert used_channel[x] == chan(net, u, x)
+        assert used_channel[u] == chan(net, p, u)
         router.cdg.assert_acyclic()
 
     def test_island_falls_back_without_backtracking(self):
@@ -97,9 +98,9 @@ class TestEngineeredImpasse:
             net, p, range(net.n_nodes), enable_backtracking=False
         )
         router.cdg.block_edge(chan(net, d, u), chan(net, u, x))
-        step = router.route_step(d)
+        step, used_channel = route_one(router, d)
         assert step.fell_back
-        assert step.used_channel[x] >= 0  # escape chains still reach x
+        assert used_channel[x] >= 0  # escape chains still reach x
         router.cdg.assert_acyclic()
 
     def test_resolution_respects_existing_children(self):
@@ -110,7 +111,7 @@ class TestEngineeredImpasse:
         router = make_router(net, p, range(net.n_nodes))
         router.cdg.block_edge(chan(net, d, u), chan(net, u, x))
         for dest in range(net.n_nodes):
-            router.route_step(dest)
+            route_one(router, dest)
             router.cdg.assert_acyclic()
 
 
@@ -121,14 +122,14 @@ class TestShortcuts:
         # strand x: block both ways the main loop could enter it
         router.cdg.block_edge(chan(net, d, u), chan(net, u, x))
         router.cdg.block_edge(chan(net, t, y), chan(net, y, x))
-        step = router.route_step(d)
+        step, used_channel = route_one(router, d)
         assert not step.fell_back
         assert step.islands_resolved >= 1
         assert step.shortcuts_taken >= 1
         # y now routes through the formerly-islanded x (4 hops instead
         # of its original 5 around the chain)
-        assert step.used_channel[y] == chan(net, x, y)
-        assert step.used_channel[x] == chan(net, u, x)
+        assert used_channel[y] == chan(net, x, y)
+        assert used_channel[x] == chan(net, u, x)
         router.cdg.assert_acyclic()
 
     def test_shortcuts_disabled_keeps_long_route(self):
@@ -138,10 +139,10 @@ class TestShortcuts:
         )
         router.cdg.block_edge(chan(net, d, u), chan(net, u, x))
         router.cdg.block_edge(chan(net, t, y), chan(net, y, x))
-        step = router.route_step(d)
+        step, used_channel = route_one(router, d)
         assert step.shortcuts_taken == 0
-        assert step.used_channel[y] == chan(net, t, y)
-        assert step.used_channel[x] >= 0  # island itself still resolved
+        assert used_channel[y] == chan(net, t, y)
+        assert used_channel[x] >= 0  # island itself still resolved
         router.cdg.assert_acyclic()
 
     def test_stats_accumulate_on_real_torus(self):

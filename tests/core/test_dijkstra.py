@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import route_one
 
 from repro.cdg.complete_cdg import CompleteCDG
 from repro.core.dijkstra import NueLayerRouter
@@ -25,17 +26,17 @@ class TestRouteStep:
     def test_reaches_every_node(self):
         net = paper_ring_with_shortcut()
         router, dests = make_router(net)
-        step = router.route_step(0)
-        assert step.used_channel[0] == -1
+        _, used_channel = route_one(router, 0)
+        assert used_channel[0] == -1
         for v in range(1, net.n_nodes):
-            assert step.used_channel[v] >= 0
+            assert used_channel[v] >= 0
 
     def test_used_channels_enter_their_node(self):
         net = torus([3, 3], 1)
         router, _ = make_router(net, dests=net.terminals)
-        step = router.route_step(net.terminals[0])
+        _, used_channel = route_one(router, net.terminals[0])
         for v in range(net.n_nodes):
-            c = step.used_channel[v]
+            c = used_channel[v]
             if c >= 0:
                 assert net.channel_dst[c] == v
 
@@ -44,36 +45,36 @@ class TestRouteStep:
         router, _ = make_router(net, dests=net.terminals)
         d = net.terminals[0]
         s = net.terminal_switch(d)
-        step = router.route_step(d)
+        _, used_channel = route_one(router, d)
         # the destination's switch forwards straight to the terminal
-        assert net.channel_src[step.used_channel[s]] == d
+        assert net.channel_src[used_channel[s]] == d
 
     def test_switch_destination_uses_fake_channel_seeding(self):
         net = ring(4)
         router, _ = make_router(net)
-        step = router.route_step(2)
+        _, used_channel = route_one(router, 2)
         for v in range(net.n_nodes):
             if v != 2:
-                assert step.used_channel[v] >= 0
+                assert used_channel[v] >= 0
 
     def test_cdg_stays_acyclic_across_steps(self):
         net = torus([3, 3], 2)
         router, dests = make_router(net, dests=net.terminals)
         for d in dests:
-            router.route_step(d)
+            route_one(router, d)
             router.cdg.assert_acyclic()
 
     def test_chains_terminate_at_destination(self):
         net = random_topology(12, 30, 2, seed=2)
         router, dests = make_router(net, dests=net.terminals)
         for d in dests[:4]:
-            step = router.route_step(d)
+            _, used_channel = route_one(router, d)
             for v in range(net.n_nodes):
                 if v == d:
                     continue
                 node, hops = v, 0
                 while node != d:
-                    c = step.used_channel[node]
+                    c = used_channel[node]
                     assert c >= 0
                     node = net.channel_src[c]
                     hops += 1
@@ -82,26 +83,50 @@ class TestRouteStep:
     def test_weights_grow_monotonically(self):
         net = ring(5, 1)
         router, dests = make_router(net, dests=net.terminals)
-        w0 = router.weights.copy()
-        router.route_step(dests[0])
-        assert (router.weights >= w0).all()
-        assert (router.weights > 0).all()
+        w0 = np.array(router.weights)
+        route_one(router, dests[0])
+        assert (np.array(router.weights) >= w0).all()
+        assert (np.array(router.weights) > 0).all()
 
     def test_weight_update_spreads_consecutive_trees(self):
         """After routing one destination, the loaded channels carry
         more weight, steering the next tree elsewhere when possible."""
         net = torus([3, 3], 1)
         router, dests = make_router(net, dests=net.terminals)
-        router.route_step(dests[0])
-        loaded = np.flatnonzero(router.weights > router.weights.min())
+        route_one(router, dests[0])
+        weights = np.array(router.weights)
+        loaded = np.flatnonzero(weights > weights.min())
         assert loaded.size > 0
 
     def test_restrictions_accumulate(self):
         net = ring(6, 1)
         router, dests = make_router(net, dests=net.terminals)
         for d in dests:
-            router.route_step(d)
+            route_one(router, d)
         assert router.cdg.n_blocked_edges > 0
+
+
+class TestBatchArguments:
+    def test_empty_batch_routes_nothing(self):
+        net = ring(4, 1)
+        router, _ = make_router(net, dests=net.terminals)
+        block = np.full((net.n_nodes, 0), -1, dtype=np.int32)
+        used_before = router.cdg.n_used_edges
+        assert router.route_batch([], block) == []
+        assert router.cdg.n_used_edges == used_before
+
+    def test_cols_length_mismatch_is_refused_before_routing(self):
+        net = ring(4, 1)
+        router, dests = make_router(net, dests=net.terminals)
+        block = np.full((net.n_nodes, len(dests)), -1, dtype=np.int32)
+        weights_before = list(router.weights)
+        used_before = router.cdg.n_used_edges
+        with pytest.raises(ValueError, match="2 destinations but 1 columns"):
+            router.route_batch(dests[:2], block, cols=[0])
+        # refused up front: the layer state is untouched
+        assert router.weights == weights_before
+        assert router.cdg.n_used_edges == used_before
+        assert (block == -1).all()
 
 
 class TestFallbackPath:
@@ -114,7 +139,7 @@ class TestFallbackPath:
             net, enable_backtracking=False, dests=net.terminals
         )
         fallbacks = sum(
-            router.route_step(d).fell_back for d in dests
+            route_one(router, d)[0].fell_back for d in dests
         )
         assert fallbacks > 0
         router.cdg.assert_acyclic()
@@ -126,11 +151,11 @@ class TestFallbackPath:
         off_router, dests = make_router(
             net, enable_backtracking=False, dests=net.terminals
         )
-        off = sum(off_router.route_step(d).fell_back for d in dests)
+        off = sum(route_one(off_router, d)[0].fell_back for d in dests)
         on_router, _ = make_router(
             net, enable_backtracking=True, dests=net.terminals
         )
-        on = sum(on_router.route_step(d).fell_back for d in dests)
+        on = sum(route_one(on_router, d)[0].fell_back for d in dests)
         assert on < off
 
     def test_fallback_chains_match_escape(self):
@@ -139,10 +164,10 @@ class TestFallbackPath:
             net, enable_backtracking=False, dests=net.terminals
         )
         for d in dests:
-            step = router.route_step(d)
+            step, used_channel = route_one(router, d)
             if step.fell_back:
                 expected = router.escape.fallback_channels(d)
-                assert step.used_channel == [
+                assert used_channel == [
                     expected[v] if v != d else -1
                     for v in range(net.n_nodes)
                 ]

@@ -91,3 +91,12 @@ def test_golden_digest(nets, key):
         assert type(exc_info.value).__name__ == expected.split(":", 1)[1]
     else:
         assert result_digest(algo.route(nets[tname], seed=7)) == expected
+
+
+def test_repro_kernel_env_var_is_not_read(nets, monkeypatch):
+    """``REPRO_KERNEL`` used to select a backend (and an unavailable
+    one failed the route); nothing reads it any more."""
+    monkeypatch.setenv("REPRO_KERNEL", "numba")
+    algo = make_algorithm("nue", max_vls=2)
+    assert result_digest(algo.route(nets["ring8"], seed=7)) \
+        == GOLDEN["ring8/nue/k2"]

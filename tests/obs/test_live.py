@@ -20,9 +20,12 @@ from repro import engine, obs
 from repro.obs import core
 from repro.obs.live import (
     DROP_COUNTER,
+    FORWARDED_COUNTER,
+    LATE_COUNTER,
     BusSink,
     InProcBus,
     LiveAggregator,
+    MpBus,
     heartbeat_gauge_name,
     run_streamed,
     tail_events,
@@ -39,6 +42,28 @@ def _stream_task(ctx, task):
     with obs.span("live_t.step"):
         pass
     return ctx * task
+
+
+class _LaggingBus(MpBus):
+    """A real cross-process bus whose parent side lags: ``drain`` hands
+    nothing over until it has been called ``lag`` more times after all
+    ``expect`` events arrived."""
+
+    def __init__(self, expect, lag):
+        super().__init__()
+        self._held = []
+        self._expect = expect
+        self._lag = lag
+
+    def drain(self, max_events=None):
+        self._held += super().drain()
+        if len(self._held) < self._expect:
+            return []
+        if self._lag > 0:
+            self._lag -= 1
+            return []
+        out, self._held = self._held, []
+        return out
 
 
 def _gauge_task(ctx, task):
@@ -137,7 +162,7 @@ class TestLiveAggregator:
 
 
 class TestRunStreamed:
-    def test_returns_result_and_empty_summary_when_nothing_dropped(self):
+    def test_returns_result_and_forwarded_count_when_nothing_dropped(self):
         bus = InProcBus()
         obs.live.attach_worker(bus)
         try:
@@ -145,8 +170,9 @@ class TestRunStreamed:
         finally:
             obs.live.detach_worker()
         assert result == 42
-        assert summary == []
         drained = bus.drain()
+        assert summary == [{"type": "counter", "name": FORWARDED_COUNTER,
+                            "n": len(drained)}]
         names = [e["name"] for e in drained]
         assert "live_t.items" in names
         # heartbeats bracket the task
@@ -161,9 +187,10 @@ class TestRunStreamed:
             _, summary = run_streamed(_stream_task, 2, 21)
         finally:
             obs.live.detach_worker()
-        assert len(summary) == 1
-        assert summary[0]["name"] == DROP_COUNTER
-        assert summary[0]["n"] >= 1
+        drops = [ev for ev in summary if ev["name"] != FORWARDED_COUNTER]
+        assert len(drops) == 1
+        assert drops[0]["name"] == DROP_COUNTER
+        assert drops[0]["n"] >= 1
 
 
 class TestPoolBitIdentity:
@@ -201,6 +228,53 @@ class TestPoolBitIdentity:
         assert live_out == serial_out
         assert live == serial, "streamed totals must be bit-identical"
         assert dropped == 0, "default buffer must not drop"
+
+    def _run_lagging(self, lag):
+        """Totals + late count of a k=4 fan-out over a bus that hands
+        nothing over until ``lag`` drains after every event is in."""
+        # per task: 2 heartbeats + counter + histogram + span
+        bus = _LaggingBus(expect=5 * len(self.TASKS), lag=lag)
+        obs.live.start(bus=bus)
+        try:
+            out = engine.run_layer_tasks(_stream_task, 3, self.TASKS,
+                                         workers=4)
+            # everything must be folded when the fan-out returns, not
+            # only after stop()'s last drain
+            totals = self._totals()
+        finally:
+            obs.live.stop()
+        late = obs.counters().get(LATE_COUNTER, 0)
+        obs.disable()
+        obs.reset()
+        return out, totals, late
+
+    def test_bus_lagging_the_results_still_matches_serial(self):
+        """Regression: worker events ride a queue feeder thread that
+        can deliver after the task results; the fan-out must keep
+        folding until the forwarded count its workers reported is in."""
+        obs.enable(obs.MemorySink(keep_events=False))
+        serial_out = engine.run_layer_tasks(_stream_task, 3, self.TASKS,
+                                            workers=1)
+        serial = self._totals()
+        obs.disable()
+        obs.reset()
+
+        live_out, live, late = self._run_lagging(lag=5)
+        assert live_out == serial_out
+        assert live == serial
+        assert late == 0
+
+    def test_bus_that_never_delivers_is_bounded_and_counted(self,
+                                                            monkeypatch):
+        """The wait is bounded: a dead bus costs the timeout, then the
+        shortfall lands on ``obs.live.late_events`` — never a hang."""
+        pump_until = LiveAggregator.pump_until
+        monkeypatch.setattr(
+            LiveAggregator, "pump_until",
+            lambda self, folded: pump_until(self, folded, timeout_s=0.2))
+        _, (counters, _, _), late = self._run_lagging(lag=10 ** 9)
+        assert counters == {}
+        assert late == 5 * len(self.TASKS)
 
     def test_worker_gauges_replay_into_parent(self):
         """Satellite: the replay path (no bus) carries gauges too."""

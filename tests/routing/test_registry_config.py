@@ -9,10 +9,13 @@ config round-trips unchanged through ``make_algorithm``, the service's
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro import api
+from repro.cli import main
 from repro.core.nue import NueConfig
 from repro.routing import available_algorithms, build_config, make_algorithm
 from repro.routing.dfsssp import DFSSSPConfig
@@ -22,7 +25,12 @@ from repro.routing.lash import LASHConfig
 from repro.routing.minhop import MinHopConfig
 from repro.routing.torus2qos import Torus2QoSConfig
 from repro.routing.updn import UpDownConfig
-from repro.service import RouteRequest, execute_route
+from repro.service import (
+    AsyncServiceClient,
+    RouteRequest,
+    execute_route,
+    serve_in_thread,
+)
 
 EXPECTED_CONFIG_CLS = {
     "nue": NueConfig,
@@ -61,8 +69,6 @@ class TestBuildConfig:
     def test_value_validation_runs_eagerly(self):
         with pytest.raises(ValueError, match="unknown nue partitioner"):
             build_config("nue", partitioner="zzz")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            build_config("nue", kernel="zzz")
         with pytest.raises(ValueError, match="updn root"):
             build_config("updn", root=-3)
 
@@ -73,6 +79,39 @@ class TestBuildConfig:
         assert cfg.root == 0
         cfg = build_config("dfsssp", spread_layers=True)
         assert cfg.spread_layers is True
+
+
+class TestKernelIsNotAnOption:
+    """There is one routing step; ``kernel`` is refused on every
+    surface with the error any misspelt key gets."""
+
+    UNKNOWN = r"unknown nue option\(s\) \['kernel'\]"
+
+    def test_make_algorithm(self):
+        with pytest.raises(ValueError, match=self.UNKNOWN):
+            make_algorithm("nue", kernel="python")
+
+    def test_inproc_route(self, ring6):
+        async def scenario(address):
+            async with AsyncServiceClient(address) as client:
+                with pytest.raises(ValueError, match=self.UNKNOWN):
+                    await client.route(RouteRequest(
+                        topology=ring6, config={"kernel": "python"}))
+
+        with serve_in_thread(["inproc://svc-kernel"]) as (_svc, bound):
+            asyncio.run(scenario(bound[0]))
+
+    def test_cli(self, tmp_path, capsys):
+        fabric = tmp_path / "fab.topo"
+        assert main(["generate", "ring", "--dims", "5", "--terminals",
+                     "1", "-o", str(fabric)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["route", str(fabric), "--kernel", "python"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+        assert main(["route", str(fabric), "-a", "nue",
+                     "--opt", "kernel=python"]) == 2
+        assert "unknown nue option(s) ['kernel']" in capsys.readouterr().err
 
 
 class TestMakeAlgorithmThreading:
