@@ -17,6 +17,10 @@ tractable in pure Python at thousands of switches):
   blake2b digest as a serial in-process run, pinned as a constant so
   drift in either fails loudly.
 
+A fourth guard pins the metrics layer's table walk: validating the 2k
+proxy's 2.1 M pairs and proving its dependency graph cyclic must stay
+column-blocked (tracemalloc peak under ``WALK_BUDGET_2K_MB``).
+
 The 10k-switch end-to-end sweep (~10164 switches, minutes of pure
 Python) only runs when ``REPRO_SCALE_10K`` is set; CI's scale-smoke
 job runs the 2k proxy on every push.
@@ -164,6 +168,38 @@ def test_bench_scale_2k_sweep(benchmark):
     workers = min(WORKERS, max(2, os.cpu_count() or 1))
     _sweep_stages(benchmark, DIMS_2K, DESTS_2K, GOLDEN_2K,
                   RSS_BUDGET_2K_MB, workers)
+
+
+#: tracemalloc budget for walking every pair of the 2k proxy's table.
+#: The walk holds one block of columns' per-hop records at a time
+#: (measured peak ~25 MB); materialising pairs x hops for the whole
+#: table would be ~200 MB.
+WALK_BUDGET_2K_MB = 128
+
+
+def test_bench_scale_2k_table_walk_memory():
+    """validate + Theorem-1 check over all 2.1 M pairs stay column-blocked."""
+    import tracemalloc
+
+    from repro.metrics import is_deadlock_free, validate_routing
+    from repro.network.topologies.torus import torus
+    from repro.routing.dor import DORRouting
+
+    net = torus(DIMS_2K, 1)
+    res = DORRouting(workers=1).route(
+        net, seed=SEED, dests=list(net.terminals)[:DESTS_2K])
+    assert net.n_nodes * len(res.dests) > 2_000_000
+    tracemalloc.start()
+    try:
+        validate_routing(res, check_deadlock=False)
+        assert not is_deadlock_free(res)  # plain DOR on a torus
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < WALK_BUDGET_2K_MB, (
+        f"table walk peaked at {peak_mb:.0f} MB "
+        f"(budget {WALK_BUDGET_2K_MB} MB)"
+    )
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_SCALE_10K"),

@@ -31,10 +31,9 @@ from repro.io import (
 from repro.metrics import (
     gamma_summary,
     path_length_stats,
-    required_vcs,
     validate_routing,
 )
-from repro.metrics.deadlock import find_vc_cycle, induced_vc_dependencies
+from repro.metrics.deadlock import DeadlockAnalysis
 from repro.network.faults import (
     inject_random_link_faults,
     inject_random_switch_faults,
@@ -214,22 +213,21 @@ def _route_campaign(net, args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     net = load_topology(args.topology)
     result = load_routing(net, args.tables)
-    adj = induced_vc_dependencies(result)
-    cycle = find_vc_cycle(adj)
-    dl_free = cycle is None
+    deadlock = DeadlockAnalysis(result)
+    dl_free = deadlock.deadlock_free
     g = gamma_summary(result, workers=args.workers)
     p = path_length_stats(result, workers=args.workers)
     print(f"algorithm:        {result.algorithm}")
     print(f"virtual lanes:    {result.n_vls}")
     print(f"deadlock-free:    {dl_free}")
-    print(f"required VCs:     {required_vcs(result)}")
+    print(f"required VCs:     {deadlock.required_vcs()}")
     print(f"gamma (min/avg/max/sd): {g.minimum:.0f} / {g.average:.1f} "
           f"/ {g.maximum:.0f} / {g.stddev:.1f}")
     print(f"path length (min/avg/max): {p.minimum} / {p.average:.2f} "
           f"/ {p.maximum}")
-    if cycle is not None and args.explain:
+    if not dl_free and args.explain:
         print("dependency cycle (Theorem 1 witness):")
-        for c, vl in cycle:
+        for c, vl in deadlock.cycle():
             u, v = net.endpoints(c)
             print(f"  {net.node_names[u]} -> {net.node_names[v]} "
                   f"(VL {vl})")

@@ -7,19 +7,33 @@ an edge between consecutive hops of any route, each hop taken on its
 own VL (Dally & Seitz).  Static-layer routings (Nue, DFSSSP, LASH)
 yield per-layer subgraphs with no cross-layer edges; per-hop-VL
 routings (Torus-2QoS datelines) yield genuine VL transitions — both
-are covered by consuming :meth:`RoutingResult.path_vls`.
+are covered by the per-hop VLs of the table walk
+(:func:`repro.routing.walk.vc_dependencies`).
 
 Only switch-to-switch channels are considered: a terminal's injection
 channel cannot sit on a cycle (the only dependency into it would be a
 180-degree turn, excluded by Def. 6).
+
+:class:`DeadlockAnalysis` lifts the graph once, as integer arrays, and
+answers every question from that one lift: the verdict by an array
+Kahn peel, the VC requirement, and — only when a cycle exists — the
+dict form and :func:`find_vc_cycle`'s witness.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.routing.base import RoutingResult
 from repro.routing.layering import break_cycles_into_layers
+from repro.routing.walk import (
+    switch_channel_mask,
+    vc_dependencies,
+    vc_nodes,
+)
 
 __all__ = [
     "induced_vc_dependencies",
@@ -32,6 +46,93 @@ __all__ = [
 VCNode = Tuple[int, int]  # (channel id, virtual layer)
 
 
+def _as_tuples(keys: np.ndarray) -> List[VCNode]:
+    channel, vl = vc_nodes(keys)
+    return list(zip(channel.tolist(), vl.tolist()))
+
+
+def _acyclic(vertices: np.ndarray, tails: np.ndarray,
+             heads: np.ndarray) -> bool:
+    """Kahn peel over edge arrays: is ``tails[i] -> heads[i]`` a DAG?
+
+    The edges are packed into a successor CSR with numpy; the peel
+    itself pops one vertex at a time (dependency graphs of tori are
+    hundreds of levels deep and a few vertices wide, so a
+    level-at-a-time array peel pays numpy's dispatch per level and
+    loses to this loop's ~0.1 us per edge).
+    """
+    ids = np.sort(vertices)
+    tail, head = np.searchsorted(ids, tails), np.searchsorted(ids, heads)
+    succ = head[np.argsort(tail, kind="stable")].tolist()
+    ptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(tail, minlength=ids.size)))).tolist()
+    indeg = np.bincount(head, minlength=ids.size)
+    ready = np.flatnonzero(indeg == 0).tolist()
+    indeg = indeg.tolist()
+    peeled = 0
+    while ready:
+        v = ready.pop()
+        peeled += 1
+        for w in succ[ptr[v]:ptr[v + 1]]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return peeled == ids.size
+
+
+class DeadlockAnalysis:
+    """One lift of a routing's induced VC dependency graph.
+
+    ``sources`` defaults to all switches — sufficient for deadlock
+    analysis because every terminal's route coincides with its switch's
+    route after the injection hop.  Raises the scalar accessor's
+    :class:`~repro.routing.base.RoutingError` when a pair has no route.
+    """
+
+    def __init__(self, result: RoutingResult,
+                 sources: Optional[Sequence[int]] = None) -> None:
+        self.result = result
+        self.sources = result.net.switches if sources is None else sources
+        self.vertices, self.tails, self.heads = vc_dependencies(
+            result, self.sources)
+
+    @cached_property
+    def deadlock_free(self) -> bool:
+        """Theorem 1 verdict: the lifted graph is acyclic."""
+        return _acyclic(self.vertices, self.tails, self.heads)
+
+    def adjacency(self) -> Dict[VCNode, Set[VCNode]]:
+        """The graph as ``{(channel, vl): {(channel, vl), ...}}``."""
+        adj: Dict[VCNode, Set[VCNode]] = {
+            v: set() for v in _as_tuples(self.vertices)}
+        for tail, head in zip(_as_tuples(self.tails),
+                              _as_tuples(self.heads)):
+            adj[tail].add(head)
+        return adj
+
+    def cycle(self) -> Optional[List[VCNode]]:
+        """A Theorem-1 witness cycle, or None when deadlock-free."""
+        if self.deadlock_free:
+            return None
+        return find_vc_cycle(self.adjacency())
+
+    def required_vcs(self) -> int:
+        """See :func:`required_vcs`."""
+        if self.deadlock_free:
+            if self.vertices.size == 0:
+                return 1
+            return int(vc_nodes(self.vertices)[1].max()) + 1
+        result = self.result
+        pair_paths = {
+            (s, j): result.path(s, d)
+            for j, d in enumerate(result.dests)
+            for s in self.sources
+            if s != d
+        }
+        _, n_layers = break_cycles_into_layers(result.net, pair_paths)
+        return n_layers
+
+
 def induced_vc_dependencies(
     result: RoutingResult,
     sources: Optional[Sequence[int]] = None,
@@ -42,28 +143,7 @@ def induced_vc_dependencies(
     analysis because every terminal's route coincides with its switch's
     route after the injection hop.
     """
-    net = result.net
-    if sources is None:
-        sources = net.switches
-    adj: Dict[VCNode, Set[VCNode]] = {}
-    for d in result.dests:
-        for s in sources:
-            if s == d:
-                continue
-            path = result.path(s, d)
-            vls = result.path_vls(s, d)
-            prev: Optional[VCNode] = None
-            for c, v in zip(path, vls):
-                u, w = net.channel_src[c], net.channel_dst[c]
-                if net.is_switch(u) and net.is_switch(w):
-                    node = (c, v)
-                    adj.setdefault(node, set())
-                    if prev is not None:
-                        adj[prev].add(node)
-                    prev = node
-                else:
-                    prev = None
-    return adj
+    return DeadlockAnalysis(result, sources).adjacency()
 
 
 def find_vc_cycle(
@@ -129,7 +209,7 @@ def is_deadlock_free(
     sources: Optional[Sequence[int]] = None,
 ) -> bool:
     """Theorem 1 check: acyclic induced VC dependency graph."""
-    return find_vc_cycle(induced_vc_dependencies(result, sources)) is None
+    return DeadlockAnalysis(result, sources).deadlock_free
 
 
 def required_vcs(result: RoutingResult) -> int:
@@ -141,19 +221,7 @@ def required_vcs(result: RoutingResult) -> int:
     no deadlock avoidance — the DFSSSP cycle-breaking is run on the
     path set to determine how many layers *would* be needed.
     """
-    adj = induced_vc_dependencies(result)
-    if find_vc_cycle(adj) is None:
-        layers = {v for (_, v) in adj}
-        return max(layers) + 1 if layers else 1
-    net = result.net
-    pair_paths = {
-        (s, j): result.path(s, d)
-        for j, d in enumerate(result.dests)
-        for s in net.switches
-        if s != d
-    }
-    _, n_layers = break_cycles_into_layers(net, pair_paths)
-    return n_layers
+    return DeadlockAnalysis(result).required_vcs()
 
 
 def explicit_paths_deadlock_free(net, paths_and_vls) -> bool:
@@ -163,12 +231,12 @@ def explicit_paths_deadlock_free(net, paths_and_vls) -> bool:
     are constant per path here (the source-routed variant assigns one
     lane per pair).  Terminal channels are excluded as always.
     """
+    inter_switch = switch_channel_mask(net).tolist()
     adj: Dict[VCNode, Set[VCNode]] = {}
     for path, vl in paths_and_vls:
         prev: Optional[VCNode] = None
         for c in path:
-            u, w = net.channel_src[c], net.channel_dst[c]
-            if net.is_switch(u) and net.is_switch(w):
+            if inter_switch[c]:
                 node = (c, vl)
                 adj.setdefault(node, set())
                 if prev is not None:

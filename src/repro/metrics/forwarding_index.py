@@ -6,41 +6,40 @@ standard deviation of γ over *inter-switch* channels, for routes
 between all terminal pairs — "a high minimum γ and low maximum γ are
 indicators for a well balanced routing algorithm".
 
-Loads are accumulated per destination tree in O(|N|) via subtree
-counting (no per-pair path walks), which keeps Fig. 9's 1,000-topology
-sweep tractable.
+Loads are accumulated from the table walk's per-hop channel records
+(:mod:`repro.routing.walk`), one bincount per block of columns; pairs
+the tables do not connect (post-fault dangling chains) contribute
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import resolve_workers, run_layer_tasks, shard_destinations
 from repro.network.graph import Network
 from repro.routing.base import RoutingResult
-from repro.routing.sssp import subtree_route_counts
+from repro.routing.walk import shard_walk, switch_channel_mask, walk
 
 __all__ = ["edge_forwarding_indices", "GammaSummary", "gamma_summary"]
 
 
 def _gamma_task(
-    ctx: Tuple[Network, np.ndarray, List[int]],
-    shard: Sequence[Tuple[int, int]],
+    ctx: Tuple[Network, np.ndarray, np.ndarray, np.ndarray],
+    shard: Sequence[int],
 ) -> np.ndarray:
-    """Worker: per-channel route counts over one destination shard.
+    """Worker: per-channel route counts over one shard of columns.
 
     The full table arrives zero-copy (an shm table ticket or scratch
-    view); columns are staged contiguously one at a time, so a worker's
-    resident footprint is one column, never the whole matrix.
+    view); the walk stages one block of columns at a time.
     """
-    net, nxt, sources = ctx
+    net = ctx[0]
     total = np.zeros(net.n_channels, dtype=np.int64)
-    for j, d in shard:
-        total += subtree_route_counts(
-            net, np.ascontiguousarray(nxt[:, j]), d, sources)
+    for blk in walk(*ctx, shard):
+        total += np.bincount(blk.routed_channels(),
+                             minlength=net.n_channels)
     return total
 
 
@@ -53,21 +52,16 @@ def edge_forwarding_indices(
 
     ``sources`` defaults to the network's terminals (the paper's
     terminal-to-terminal traffic).  Self-pairs are excluded.  The
-    per-destination subtree sweeps shard over the engine's worker pool
-    (``workers`` follows the engine convention: ``None`` = default,
-    ``0`` = all cores); the integer column sums merge exactly, so the
-    result is bit-identical for any worker count.
+    column walks shard over the engine's worker pool (``workers``
+    follows the engine convention: ``None`` = default, ``0`` = all
+    cores); the integer column sums merge exactly, so the result is
+    bit-identical for any worker count.
     """
     net = result.net
     if sources is None:
         sources = net.terminals
-    pairs = list(enumerate(result.dests))
-    n = resolve_workers(workers, len(pairs))
-    shards = shard_destinations(pairs, n)
-    ctx = (net, result.next_channel, list(sources))
-    parts = run_layer_tasks(_gamma_task, ctx, shards, workers=n)
     total = np.zeros(net.n_channels, dtype=np.int64)
-    for part in parts:
+    for part in shard_walk(_gamma_task, result, sources, workers):
         total += part
     return total
 
@@ -91,14 +85,8 @@ def gamma_summary(
     workers: Optional[int] = None,
 ) -> GammaSummary:
     """Summarise γ over switch-to-switch channels only."""
-    net = result.net
     gamma = edge_forwarding_indices(result, sources, workers=workers)
-    mask = np.zeros(net.n_channels, dtype=bool)
-    for c in range(net.n_channels):
-        u, v = net.endpoints(c)
-        if net.is_switch(u) and net.is_switch(v):
-            mask[c] = True
-    values = gamma[mask].astype(float)
+    values = gamma[switch_channel_mask(result.net)].astype(float)
     if values.size == 0:
         return GammaSummary(0.0, 0.0, 0.0, 0.0)
     return GammaSummary(

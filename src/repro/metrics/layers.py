@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.routing.base import RoutingResult
+from repro.routing.walk import VL_BITS, vc_nodes, vl_field, walk
 
 __all__ = ["LayerUsage", "layer_usage", "layer_balance"]
 
@@ -47,22 +48,26 @@ def layer_usage(
     net = result.net
     if sources is None:
         sources = net.terminals
-    routes: Dict[int, int] = {}
-    hops: Dict[int, int] = {}
-    for d in result.dests:
-        for s in sources:
-            if s == d:
-                continue
-            vls = result.path_vls(s, d)
-            if vls:
-                first = int(vls[0])
-                routes[first] = routes.get(first, 0) + 1
-            for v in vls:
-                hops[int(v)] = hops.get(int(v), 0) + 1
+    routes = np.zeros(1 << VL_BITS, dtype=np.int64)
+    hops = np.zeros(1 << VL_BITS, dtype=np.int64)
+    for blk in walk(net, result.next_channel, result.dests, sources):
+        blk.require_routed(result)
+        ptr, chan = blk.paths()
+        vls = result._hop_vls(blk.src, blk.col, ptr, chan)
+        vls = vl_field(vls)
+        hops += np.bincount(vls, minlength=hops.size)
+        first_hop = ptr[:-1][blk.hops > 0]
+        routes += np.bincount(vls[first_hop], minlength=routes.size)
+
+    def per_layer(counts: np.ndarray) -> Dict[int, int]:
+        used = np.flatnonzero(counts)
+        layers = vc_nodes(used)[1]  # field byte -> signed VL
+        return dict(zip(layers.tolist(), counts[used].tolist()))
+
     return LayerUsage(
         n_vls=result.n_vls,
-        routes_per_layer=routes,
-        hops_per_layer=hops,
+        routes_per_layer=per_layer(routes),
+        hops_per_layer=per_layer(hops),
     )
 
 

@@ -2,77 +2,47 @@
 
 The paper compares Nue's path lengths against the shortest-path
 algorithms: maximum path length (Nue 7–10 at small k vs 6 for
-DFSSSP/LASH on the random topologies) and averages.  Lengths are
-computed per destination tree via memoized chain-following — O(|N|)
-per destination — counting terminal-to-terminal hops.
+DFSSSP/LASH on the random topologies) and averages.  Lengths are the
+hop counts of the table walk (:mod:`repro.routing.walk`), counting
+terminal-to-terminal hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import resolve_workers, run_layer_tasks, shard_destinations
 from repro.network.graph import Network
 from repro.obs import core as obs
 from repro.routing.base import RoutingResult
+from repro.routing.walk import shard_walk, walk
 
 __all__ = ["PathLengthStats", "path_length_stats", "tree_depths"]
 
 
-def _column_depths(net: Network, fwd: np.ndarray, dest: int) -> np.ndarray:
-    """Hop distance of every node to ``dest`` along ``fwd`` (-1: none)."""
-    n = net.n_nodes
-    depth = np.full(n, -1, dtype=np.int64)
-    depth[dest] = 0
-    for v in range(n):
-        if depth[v] >= 0 or fwd[v] < 0:
-            continue
-        chain = []
-        u = v
-        while depth[u] < 0 and fwd[u] >= 0:
-            chain.append(u)
-            u = net.channel_dst[fwd[u]]
-        base = depth[u]
-        if base < 0:
-            continue
-        for i, w in enumerate(reversed(chain), start=1):
-            depth[w] = base + i
-    return depth
-
-
 def tree_depths(result: RoutingResult, j: int) -> np.ndarray:
     """Hop distance of every node to destination column ``j`` (-1: none)."""
-    return _column_depths(result.net, result.next_channel[:, j],
-                          result.dests[j])
+    net = result.net
+    (blk,) = walk(net, result.next_channel, result.dests,
+                  range(net.n_nodes), [j])
+    return np.maximum(blk.hops, -1).astype(np.int64)
 
 
 def _lengths_task(
-    ctx: Tuple[Network, np.ndarray, np.ndarray],
-    shard: Sequence[Tuple[int, int]],
-) -> List[Tuple[np.ndarray, np.ndarray, int, int, int, int]]:
-    """Worker: per-column length partials for one destination shard.
+    ctx: Tuple[Network, np.ndarray, np.ndarray, np.ndarray],
+    shard: Sequence[int],
+) -> np.ndarray:
+    """Worker: ``pairs[length]`` histogram over one shard of columns.
 
-    Each entry is ``(unique lengths, counts, sum, n, min, max)`` for
-    one column; the caller merges them in column order, which keeps
-    histogram accumulation identical to the serial sweep.
+    Self-pairs and pairs without a route are dropped.  The integer
+    histograms of any sharding sum to the serial one.
     """
-    net, nxt, sources = ctx
-    out = []
-    for j, d in shard:
-        # column streaming: one contiguous staged column at a time —
-        # the zero-copy table view in ctx stays unmaterialized
-        depth = _column_depths(net, np.ascontiguousarray(nxt[:, j]), d)
-        vals = depth[sources]
-        vals = vals[(vals > 0)]  # drop self-pairs and unreachable
-        if vals.size == 0:
-            continue
-        uniq, counts = np.unique(vals, return_counts=True)
-        out.append((uniq, counts, int(vals.sum()), int(vals.size),
-                    int(vals.min()), int(vals.max())))
-    return out
+    pairs = np.zeros(ctx[0].n_nodes + 1, dtype=np.int64)
+    for blk in walk(*ctx, shard):
+        pairs += np.bincount(blk.hops[blk.hops > 0], minlength=pairs.size)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -96,41 +66,28 @@ def path_length_stats(
 ) -> PathLengthStats:
     """Hop-count stats for routes from ``sources`` (default terminals).
 
-    The per-destination depth sweeps shard over the engine's worker
-    pool (engine ``workers`` convention); the histogram/min/max/sum
-    partials merge in column order, bit-identical to serial.
+    The column walks shard over the engine's worker pool (engine
+    ``workers`` convention); the integer length histograms of the
+    shards sum to the serial one, and every statistic derives from it.
     """
     net = result.net
     if sources is None:
         sources = net.terminals
-    sources = np.asarray(sources, dtype=np.int64)
-    pairs = list(enumerate(result.dests))
-    n_workers = resolve_workers(workers, len(pairs))
-    shards = shard_destinations(pairs, n_workers)
-    ctx = (net, result.next_channel, sources)
-    parts = run_layer_tasks(_lengths_task, ctx, shards, workers=n_workers)
-    lengths: dict = {}
-    total = 0
-    count = 0
-    minimum, maximum = np.iinfo(np.int64).max, 0
-    for part in parts:
-        for uniq, counts, col_sum, col_n, col_min, col_max in part:
-            for v, c in zip(uniq.tolist(), counts.tolist()):
-                lengths[int(v)] = lengths.get(int(v), 0) + int(c)
-            total += col_sum
-            count += col_n
-            minimum = min(minimum, col_min)
-            maximum = max(maximum, col_max)
-    if count == 0:
+    pairs = np.sum(shard_walk(_lengths_task, result, sources, workers),
+                   axis=0)
+    used = np.flatnonzero(pairs)
+    if used.size == 0:
         return PathLengthStats(0, 0, 0.0, 0, {})
+    lengths = {int(v): int(pairs[v]) for v in used}
     if obs.enabled():
         # the sweep's exact {hops: pairs} map folds into the shared
         # metrics.path_length histogram in O(distinct lengths)
         obs.observe_counts("metrics.path_length", lengths)
+    count = int(pairs.sum())
     return PathLengthStats(
-        minimum=minimum,
-        maximum=maximum,
-        average=total / count,
+        minimum=int(used[0]),
+        maximum=int(used[-1]),
+        average=int(pairs @ np.arange(pairs.size)) / count,
         n_routes=count,
         histogram=lengths,
     )

@@ -11,11 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.metrics.deadlock import is_deadlock_free, required_vcs
+from repro.metrics.deadlock import DeadlockAnalysis
 from repro.metrics.forwarding_index import GammaSummary, gamma_summary
 from repro.metrics.layers import layer_balance
 from repro.metrics.path_stats import PathLengthStats, path_length_stats
-from repro.metrics.validate import ValidationError, validate_routing
+from repro.metrics.validate import (
+    ValidationError,
+    cycle_message,
+    validate_routing,
+)
 from repro.routing.base import RoutingResult
 
 __all__ = ["QualityReport", "quality_report"]
@@ -60,20 +64,27 @@ def quality_report(
     result: RoutingResult,
     sources: Optional[Sequence[int]] = None,
 ) -> QualityReport:
-    """Measure everything; never raises (validity failures are recorded)."""
+    """Measure everything; validity failures are recorded, not raised.
+
+    The dependency graph is lifted once and serves the validity gate's
+    Theorem-1 step, the deadlock verdict and the VC requirement.
+    """
     valid, error = True, None
     try:
-        validate_routing(result, sources=sources)
+        validate_routing(result, sources=sources, check_deadlock=False)
     except ValidationError as exc:
         valid, error = False, str(exc)[:120]
+    deadlock = DeadlockAnalysis(result)
+    if valid and not deadlock.deadlock_free:
+        valid, error = False, cycle_message(result, deadlock.cycle())[:120]
     return QualityReport(
         algorithm=result.algorithm,
         network=result.net.name,
         n_vls=result.n_vls,
         valid=valid,
         validity_error=error,
-        deadlock_free=is_deadlock_free(result),
-        required_vcs=required_vcs(result),
+        deadlock_free=deadlock.deadlock_free,
+        required_vcs=deadlock.required_vcs(),
         gamma=gamma_summary(result, sources),
         path_lengths=path_length_stats(result, sources),
         layer_balance=layer_balance(result, sources),

@@ -43,10 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.nue import NueConfig
-from repro.engine import resolve_workers, run_layer_tasks, shard_destinations
 from repro.metrics.validate import ValidationError, validate_routing
 from repro.network.faults import (
     FaultInjectionError,
@@ -65,6 +62,7 @@ from repro.resilience.reroute import (
 )
 from repro.routing.base import RoutingError, RoutingResult
 from repro.routing.registry import make_algorithm
+from repro.routing.walk import shard_walk, walk
 from repro.utils.prng import SeedLike
 
 __all__ = [
@@ -191,45 +189,15 @@ class CampaignResult:
 
 
 def _reachable_task(ctx, shard) -> Tuple[int, int]:
-    """Worker: (reachable, total) pair counts for one ``(j, d)`` shard.
+    """Worker: (reachable, total) pair counts for one shard of columns.
 
-    Per destination column the tables form a forest; one memoised walk
-    per column decides reachability for every node in O(|N|).  The
-    counts are plain integer sums, so any sharding merges exactly.
+    The counts are plain integer sums, so any sharding merges exactly.
     """
-    net, nxt = ctx
-    n = net.n_nodes
-    sources = net.terminals or list(range(n))
-    dst_of = net.channel_dst
     reachable = 0
     total = 0
-    for j, d in shard:
-        # column streaming: stage one contiguous column at a time off
-        # the (possibly shm-resident, C-ordered) table — a strided
-        # ndarray scalar read per hop would dominate the walk
-        col = np.ascontiguousarray(nxt[:, j]).tolist()
-        # status: 0 unknown, 1 reaches d, -1 dead end / loop
-        status = [0] * n
-        status[d] = 1
-        for s in sources:
-            if s == d:
-                continue
-            total += 1
-            chain = []
-            v = s
-            while status[v] == 0:
-                c = col[v]
-                if c < 0:
-                    break
-                chain.append(v)
-                v = dst_of[c]
-                if len(chain) > n:  # forwarding loop
-                    break
-            verdict = 1 if status[v] == 1 else -1
-            for w in chain:
-                status[w] = verdict
-            if verdict == 1:
-                reachable += 1
+    for blk in walk(*ctx, shard):
+        reachable += int((blk.hops > 0).sum())
+        total += int((blk.hops != 0).sum())  # 0 hops: a self-pair
     return reachable, total
 
 
@@ -238,17 +206,13 @@ def _reachable_pairs(
 ) -> Tuple[int, int]:
     """Count (terminal source, destination) pairs with a table route.
 
-    The per-destination column walks shard over the engine's worker
-    pool (engine ``workers`` convention); the integer counts merge
-    exactly, so the result matches serial for any worker count.
+    The column walks shard over the engine's worker pool (engine
+    ``workers`` convention); the integer counts merge exactly, so the
+    result matches serial for any worker count.
     """
-    pairs = list(enumerate(result.dests))
-    n_workers = resolve_workers(workers, len(pairs))
-    shards = shard_destinations(pairs, n_workers)
-    parts = run_layer_tasks(
-        _reachable_task, (result.net, result.next_channel), shards,
-        workers=n_workers,
-    )
+    net = result.net
+    sources = net.terminals or range(net.n_nodes)
+    parts = shard_walk(_reachable_task, result, sources, workers)
     reachable = sum(p[0] for p in parts)
     total = sum(p[1] for p in parts)
     return reachable, total

@@ -197,6 +197,17 @@ class RoutingResult:
         n_hops = len(self.path(src, dest))
         return [int(self.vl[src, self._dest_index[dest]])] * n_hops
 
+    def _hop_vls(self, src: np.ndarray, col: np.ndarray,
+                 ptr: np.ndarray, channel: np.ndarray) -> np.ndarray:
+        """:meth:`path_vls` of many routes at once (table-walk hook).
+
+        Route ``p`` runs from node ``src[p]`` toward table column
+        ``col[p]`` over ``channel[ptr[p]:ptr[p + 1]]``; returns one VL
+        per entry of ``channel``.  Same per-``(src, dest)`` model as
+        :meth:`path_vls`, and overridden by the same subclasses.
+        """
+        return np.repeat(self.vl[src, col], np.diff(ptr))
+
     def path_nodes(self, src: int, dest: int) -> List[int]:
         """Node sequence of the route (including both endpoints)."""
         nodes = [src]

@@ -37,6 +37,7 @@ from repro.routing.base import (
     RoutingResult,
 )
 from repro.routing.dor import TorusGeometry, dor_direction
+from repro.routing.walk import switch_channel_mask
 from repro.utils.prng import SeedLike
 
 __all__ = ["Torus2QoSRouting", "TorusQoSResult", "Torus2QoSConfig"]
@@ -191,6 +192,45 @@ class TorusQoSResult(RoutingResult):
             else:
                 vls.append(0)  # terminal hop, never on a cycle
         return vls
+
+    def _hop_vls(self, src: np.ndarray, col: np.ndarray,
+                 ptr: np.ndarray, channel: np.ndarray) -> np.ndarray:
+        """The dateline rule of :meth:`path_vls` over flat route arrays.
+
+        "Already arrived at ring position 0 of this dimension" is a
+        running count along each route, i.e. a cumulative sum taken
+        relative to its value at the route's first hop.
+        """
+        vls = np.zeros(channel.size, dtype=np.int8)
+        if channel.size == 0:
+            return vls
+        dim_of, lands_on_zero = self._datelines()
+        hop_dim = dim_of[channel]
+        first_hop = np.repeat(ptr[:-1], np.diff(ptr))
+        for dim in range(self.geometry.n_dims):
+            in_dim = hop_dim == dim
+            arrival = in_dim & lands_on_zero[channel]
+            # arrivals before each hop, counted from the array's start
+            before = np.cumsum(arrival) - arrival
+            vls[in_dim & (before > before[first_hop])] = 1
+        return vls
+
+    def _datelines(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per channel: torus dimension it moves along (-1 for terminal
+        channels) and whether its head sits at ring position 0 there."""
+        cached = getattr(self, "_dateline_arrays", None)
+        if cached is None:
+            geom, net = self.geometry, self.net
+            dim_of = np.full(net.n_channels, -1, dtype=np.int8)
+            lands_on_zero = np.zeros(net.n_channels, dtype=bool)
+            for c in np.flatnonzero(switch_channel_mask(net)).tolist():
+                u, v = net.endpoints(c)
+                cu, cv = geom.coord_of[u], geom.coord_of[v]
+                dim = next(i for i in range(geom.n_dims) if cu[i] != cv[i])
+                dim_of[c] = dim
+                lands_on_zero[c] = cv[dim] == 0
+            cached = self._dateline_arrays = (dim_of, lands_on_zero)
+        return cached
 
 
 class Torus2QoSRouting(RoutingAlgorithm):

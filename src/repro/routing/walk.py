@@ -1,0 +1,301 @@
+"""One hop-synchronous walk over destination-based forwarding tables.
+
+Everything the metrics layer asks of finished tables — is every pair
+connected, how long are the routes, which channels do they cross, which
+virtual-channel dependencies do they induce — is a question about the
+routes the tables encode.  :func:`walk` follows all of them at once:
+every still-travelling ``(source, destination)`` pair advances one hop
+per step, each step being a handful of numpy gathers over the flat
+``next_channel`` table and the ``net.csr`` endpoint arrays.  Broken
+tables do not make it raise: a pair that runs into a ``-1`` hole or a
+forwarding loop gets the :data:`NO_ROUTE` / :data:`LOOP` hop code and
+its consumer decides what that means (``validate_routing`` turns it
+into the scalar accessor's exact message, γ and path statistics skip
+the pair).
+
+The walk is column-blocked: :data:`BLOCK_COLS` destination columns are
+staged contiguously and walked together, so the live state is
+``n_sources x BLOCK_COLS`` pairs however large the table is, and a
+consumer folds each :class:`WalkBlock` into its own small aggregate
+before the next one is produced.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.engine import resolve_workers, run_layer_tasks, shard_destinations
+from repro.network.graph import Network
+from repro.obs import core as obs
+from repro.routing.base import RoutingError, RoutingResult
+
+__all__ = [
+    "BLOCK_COLS",
+    "NO_ROUTE",
+    "LOOP",
+    "VL_BITS",
+    "WalkBlock",
+    "walk",
+    "shard_walk",
+    "switch_channel_mask",
+    "vl_field",
+    "vc_nodes",
+    "vc_dependencies",
+]
+
+#: destination columns walked together.  Measured on the 432-node
+#: 6x6x6 torus and the 4k-node 13x13x12 one: 16 columns already
+#: amortise numpy's per-call dispatch (64 are no faster), and keep a
+#: block's per-hop records at a few MB instead of tens
+BLOCK_COLS = 16
+
+#: hop codes of pairs without a route (``path()`` raises for both)
+NO_ROUTE = -1  # ran into a -1 entry away from the destination
+LOOP = -2      # still travelling after ``n_nodes`` hops
+
+#: a virtual-channel vertex ``(channel, vl)`` is the integer
+#: ``channel << VL_BITS | vl``.  ``vl`` tables are int8 and the field
+#: holds the two's-complement byte, so the negative VL of a corrupt
+#: table is a vertex of its own (tables loaded from disk are not
+#: range-checked) and the Theorem-1 verdict still covers its hops
+VL_BITS = 8
+
+
+def switch_channel_mask(net: Network) -> np.ndarray:
+    """``bool[n_channels]``: channels with a switch at both ends.
+
+    Only these can lie on a dependency cycle, and γ is summarised over
+    them (terminal channels carry exactly their terminal's routes).
+    """
+    csr = net.csr
+    is_switch = csr.switch_flags.astype(bool)
+    return is_switch[csr.channel_src] & is_switch[csr.channel_dst]
+
+
+@dataclass
+class WalkBlock:
+    """The routes of every source toward one block of destinations.
+
+    Pairs are numbered destination-major, then in ``sources`` order —
+    the order the scalar validators visit them — so the first failing
+    pair of a table is the first negative entry of the first block
+    that has one.
+
+    Attributes
+    ----------
+    src, col, dest:
+        Per pair: source node, table column, destination node.
+    hops:
+        Per pair: channels on the route (0 for ``src == dest``), or
+        :data:`NO_ROUTE` / :data:`LOOP`.
+    steps:
+        Per hop ``t``: ``(pair, channel)`` arrays of the pairs that
+        took a ``t``-th hop and the channel each took.  A pair appears
+        in consecutive steps from 0 until it arrives or fails.
+    """
+
+    src: np.ndarray
+    col: np.ndarray
+    dest: np.ndarray
+    hops: np.ndarray
+    steps: List[Tuple[np.ndarray, np.ndarray]]
+
+    def require_routed(self, result: RoutingResult) -> None:
+        """Raise ``result.path``'s error for the first pair without a route.
+
+        The scalar accessor owns the message text (it names the node a
+        route got stuck at); the walk only finds the pair.
+        """
+        bad = np.flatnonzero(self.hops < 0)
+        if bad.size:
+            pair = int(self.src[bad[0]]), int(self.dest[bad[0]])
+            result.path(*pair)
+            raise RoutingError(f"table walk found no route for pair "
+                               f"{pair}, but path() follows one")
+
+    def routed_channels(self) -> np.ndarray:
+        """Every channel crossing of the block's routed pairs."""
+        if not self.steps:
+            return np.empty(0, dtype=np.int32)
+        chan = np.concatenate([c for _, c in self.steps])
+        if (self.hops < 0).any():
+            pair = np.concatenate([p for p, _ in self.steps])
+            chan = chan[self.hops[pair] > 0]
+        return chan
+
+    def paths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The recorded hops pair-major: ``(ptr, channel)``.
+
+        ``channel[ptr[p]:ptr[p + 1]]`` is the channel sequence of pair
+        ``p`` in travel order (for a pair without a route: the hops it
+        took before failing).
+        """
+        n_pairs = self.hops.size
+        ptr = np.zeros(n_pairs + 1, dtype=np.intp)
+        if not self.steps:
+            return ptr, np.empty(0, dtype=np.int32)
+        taken = np.bincount(np.concatenate([p for p, _ in self.steps]),
+                            minlength=n_pairs)
+        np.cumsum(taken, out=ptr[1:])
+        channel = np.empty(ptr[-1], dtype=np.int32)
+        for t, (pair, chan) in enumerate(self.steps):
+            channel[ptr[pair] + t] = chan
+        return ptr, channel
+
+
+def _walk_block(
+    net: Network,
+    next_channel: np.ndarray,
+    dests: np.ndarray,
+    sources: np.ndarray,
+    cols: range,
+) -> WalkBlock:
+    n_cols, n_src = len(cols), sources.size
+    # one contiguous staged block: flat[node * n_cols + k] is the entry
+    # of ``node`` toward the block's k-th destination
+    flat = np.ascontiguousarray(
+        next_channel[:, cols.start:cols.stop]).ravel()
+    channel_dst = net.csr.channel_dst
+    k = np.repeat(np.arange(n_cols, dtype=np.intp), n_src)
+    src = np.tile(sources, n_cols)
+    dest = dests[cols.start:cols.stop][k]
+    hops = np.zeros(n_cols * n_src, dtype=np.int32)
+    steps: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    pair = np.flatnonzero(src != dest)
+    node, goal, slot = src[pair], dest[pair], k[pair]
+    for t in range(1, net.n_nodes + 1):
+        if pair.size == 0:
+            break
+        chan = flat[node * n_cols + slot]
+        routed = chan >= 0
+        if not routed.all():
+            hops[pair[~routed]] = NO_ROUTE
+            pair, chan = pair[routed], chan[routed]
+            goal, slot = goal[routed], slot[routed]
+        steps.append((pair, chan))
+        node = channel_dst[chan]
+        moving = node != goal
+        hops[pair[~moving]] = t
+        pair, node = pair[moving], node[moving]
+        goal, slot = goal[moving], slot[moving]
+    hops[pair] = LOOP
+    return WalkBlock(src, k + cols.start, dest, hops, steps)
+
+
+def walk(
+    net: Network,
+    next_channel: np.ndarray,
+    dests: Sequence[int],
+    sources: Sequence[int],
+    cols: Optional[Sequence[int]] = None,
+) -> Iterator[WalkBlock]:
+    """Follow ``sources x dests[cols]`` through ``next_channel``.
+
+    Yields one :class:`WalkBlock` per :data:`BLOCK_COLS` columns, in
+    column order.  ``cols`` — a contiguous ascending run of column
+    indices, default every column — lets a worker walk its shard of a
+    shared table.
+    """
+    dests = np.asarray(dests, dtype=np.intp)
+    sources = np.asarray(sources, dtype=np.intp)
+    start, stop = (0, dests.size) if cols is None else (cols[0], cols[-1] + 1)
+    if cols is not None and len(cols) != stop - start:
+        raise ValueError("cols must be a contiguous run of columns")
+    for lo in range(start, stop, BLOCK_COLS):
+        block = range(lo, min(lo + BLOCK_COLS, stop))
+        with obs.span("metrics.walk", cols=len(block),
+                      sources=int(sources.size)):
+            out = _walk_block(net, next_channel, dests, sources, block)
+        obs.count("metrics.pairs_walked", out.hops.size)
+        yield out
+
+
+def shard_walk(
+    task: Callable[[Any, Sequence[int]], Any],
+    result: RoutingResult,
+    sources: Sequence[int],
+    workers: Optional[int],
+) -> List[Any]:
+    """Fold ``sources x result.dests`` shard by shard on the engine pool.
+
+    ``task(ctx, cols)`` — a module-level function, ``ctx`` being
+    :func:`walk`'s first four arguments — folds ``walk(*ctx, cols)``
+    into a small aggregate; the aggregates come back in column order.
+    ``workers`` follows the engine convention (``None`` = default,
+    ``0`` = all cores); the table crosses to the workers as an shm
+    ticket or one scratch segment.  Integer aggregates of any sharding
+    sum to the serial ones.
+    """
+    n_dests = len(result.dests)
+    n = resolve_workers(workers, n_dests)
+    ctx = (result.net, result.next_channel,
+           np.asarray(result.dests, dtype=np.intp),
+           np.asarray(sources, dtype=np.intp))
+    return run_layer_tasks(task, ctx, shard_destinations(range(n_dests), n),
+                           workers=n)
+
+
+def _distinct_in_order(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of ``keys`` in order of first occurrence."""
+    if keys.size == 0:
+        return keys
+    # unstable argsort + per-group minimum position: several times
+    # faster than the stable sort behind np.unique(return_index=True)
+    by_key = np.argsort(keys)
+    in_order = keys[by_key]
+    group = np.flatnonzero(np.concatenate(
+        ([True], in_order[1:] != in_order[:-1])))
+    first = np.minimum.reduceat(by_key, group)
+    return in_order[group][np.argsort(first)]
+
+
+def vl_field(vls: np.ndarray) -> np.ndarray:
+    """The :data:`VL_BITS`-bit field (0..255) of int8 virtual layers."""
+    return vls.astype(np.uint8)
+
+
+def vc_nodes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(channel, vl)`` arrays of ``channel << VL_BITS | vl`` keys."""
+    field = (keys & ((1 << VL_BITS) - 1)).astype(np.uint8)
+    return keys >> VL_BITS, field.astype(np.int8)
+
+
+def vc_dependencies(
+    result: RoutingResult, sources: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Induced virtual-channel dependency graph of ``sources x dests``.
+
+    Returns ``(vertices, tails, heads)``: the distinct
+    ``channel << VL_BITS | vl`` vertices over switch-to-switch channels
+    and the distinct edges ``tails[i] -> heads[i]`` between consecutive
+    such hops of a route, each hop on the VL the result's ``_hop_vls``
+    hook gives it.  Both come in order of first occurrence along the
+    destination-major sweep, which is the insertion order of the scalar
+    dict builder this replaces (the cycle witness picked from that dict
+    depends on it).  Raises ``result.path``'s
+    :class:`~repro.routing.base.RoutingError` for the first pair
+    without a route.
+    """
+    net = result.net
+    inter_switch = switch_channel_mask(net)
+    n_keys = np.int64(net.n_channels) << VL_BITS
+    vertices = edges = np.empty(0, dtype=np.int64)
+    for blk in walk(net, result.next_channel, result.dests, sources):
+        blk.require_routed(result)
+        ptr, chan = blk.paths()
+        vls = result._hop_vls(blk.src, blk.col, ptr, chan)
+        key = (chan.astype(np.int64) << VL_BITS) | vl_field(vls)
+        on_fabric = inter_switch[chan]
+        chained = on_fabric[:-1] & on_fabric[1:]
+        starts = ptr[1:-1]  # a hop does not depend on the previous pair's
+        chained[starts[(starts > 0) & (starts < chan.size)] - 1] = False
+        # folded block by block, so what is held is the distinct sets
+        vertices = _distinct_in_order(
+            np.concatenate((vertices, key[on_fabric])))
+        edges = _distinct_in_order(np.concatenate(
+            (edges, key[:-1][chained] * n_keys + key[1:][chained])))
+    return vertices, edges // n_keys, edges % n_keys

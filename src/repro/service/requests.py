@@ -520,12 +520,8 @@ def execute_analyze(request: AnalyzeRequest, *,
                     net: Optional[Network] = None,
                     fingerprint: Optional[str] = None) -> AnalyzeResponse:
     """Route then report the ``repro analyze`` metric set."""
-    from repro.metrics import (
-        gamma_summary,
-        is_deadlock_free,
-        path_length_stats,
-        required_vcs,
-    )
+    from repro.metrics import gamma_summary, path_length_stats
+    from repro.metrics.deadlock import DeadlockAnalysis
 
     if net is None:
         net = request.route.network()
@@ -536,11 +532,12 @@ def execute_analyze(request: AnalyzeRequest, *,
         if request.route.workers is not None else workers
     g = gamma_summary(result, workers=eff_workers)
     p = path_length_stats(result, workers=eff_workers)
+    deadlock = DeadlockAnalysis(result)
     return AnalyzeResponse(
         algorithm=response.algorithm,
         n_vls=response.n_vls,
-        deadlock_free=is_deadlock_free(result),
-        required_vcs=required_vcs(result),
+        deadlock_free=deadlock.deadlock_free,
+        required_vcs=deadlock.required_vcs(),
         gamma={"minimum": float(g.minimum), "maximum": float(g.maximum),
                "average": float(g.average), "stddev": float(g.stddev)},
         path_length={"minimum": float(p.minimum),

@@ -42,7 +42,7 @@ def test_forwarding_loop_detected(ring6, good):
     s0, s1 = ring6.switches[0], ring6.switches[1]
     good.next_channel[s0, j] = ring6.find_channels(s0, s1)[0]
     good.next_channel[s1, j] = ring6.find_channels(s1, s0)[0]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="forwarding loop"):
         validate_routing(good)
 
 
