@@ -177,7 +177,7 @@ def build_layer_state(
 
 def _route_layer(
     ctx: Tuple[Network, "_LayerConfig"],
-    task: Tuple[int, List[int], int, Optional[tablestore.TableHandle],
+    task: Tuple[int, List[int], int, Optional[tablestore.SegmentHandle],
                 List[int]],
 ) -> Tuple[int, Optional[np.ndarray], Dict[str, object]]:
     """Route one virtual layer: the :mod:`repro.engine` worker function.
@@ -190,8 +190,8 @@ def _route_layer(
     must not touch global state other than :mod:`repro.obs` (whose
     worker-side events the engine captures and replays in the parent).
 
-    When the task carries a :class:`~repro.engine.tablestore.
-    TableHandle`, the layer's column block is written **directly into
+    When the task carries the table's :class:`~repro.engine.fabric.
+    SegmentHandle`, the layer's column block is written **directly into
     the shm-resident table** at the full-table column indices ``cols``
     (``fabric.table_writes``) and the returned block is None — no
     table bytes ride the result pipe.  Without a handle (no segment

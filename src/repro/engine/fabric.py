@@ -1,40 +1,48 @@
-"""Zero-copy shared-memory routing fabric (the PR 5 tentpole).
+"""Zero-copy shared-memory routing fabric.
 
-Three cooperating pieces turn the engine's per-call process pool into
-a persistent, zero-copy execution fabric:
+**Segments.** Everything the fabric keeps in ``/dev/shm`` goes through
+one mechanism (the "segments" section below): a picklable
+:class:`SegmentHandle` (segment name + array layout), ``_create`` /
+``_attach`` / ``_unlink``, one map of the segments this process *owns*,
+one LRU of the segments it merely *attached*, one name sequence, one
+pid-guarded ``atexit`` hook and one ``_drain``.  Only the creating
+process ever unlinks (crashing workers cannot leak a segment, and
+POSIX keeps live mappings valid after unlink).  Three ownership
+policies sit on top:
 
-**Network transport.** :func:`export_network` copies a network's CSR
-array core (:data:`repro.network.csr.EXPORTED_BUFFERS` plus a packed
-node-name blob) into one ``multiprocessing.shared_memory`` segment and
-returns a small picklable :class:`ShmNetworkHandle`.  Workers
-:func:`attach_network` the handle and rehydrate a read-only
-:class:`~repro.network.graph.Network` + :class:`~repro.network.csr.
-CSRView` directly over the mapped buffers — no node/channel lists ever
-cross the pipe.  Exports are keyed and reference-counted by
-:func:`~repro.engine.fingerprint.network_fingerprint`; the owning
-process unlinks segments on release, :func:`shutdown` or ``atexit``
-(crashing workers cannot leak a segment: only the exporter unlinks,
-and POSIX keeps live mappings valid after unlink).
+* **networks** — :func:`export_network` copies a network's CSR array
+  core (:data:`repro.network.csr.EXPORTED_BUFFERS` plus a packed
+  node-name blob) into a segment and returns a small picklable
+  :class:`ShmNetworkHandle`; workers :func:`attach_network` it and
+  rehydrate a read-only :class:`~repro.network.graph.Network` +
+  :class:`~repro.network.csr.CSRView` over the mapped buffers — no
+  node/channel lists ever cross the pipe.  Exports are keyed and
+  reference-counted by :func:`~repro.engine.fingerprint.
+  network_fingerprint`; :func:`pack_ctx`'s own exports are
+  additionally LRU-bounded.
+* **scratch arrays** — large ndarray context members (>=
+  :data:`SCRATCH_MIN_BYTES`, e.g. the tree matrices of Up*/Down*'s
+  selection phase or a private forwarding table under a metrics sweep)
+  are packed into one per-call segment (:func:`export_arrays`) instead
+  of being re-pickled for every task, and unlinked by the engine right
+  after the fan-out (:func:`release_ctx`).
+* **route tables** — one writable segment per route request with a
+  single owner, :class:`repro.engine.tablestore.RouteTable`.
 
 **Persistent pool.** :func:`get_pool` lazily creates one module-level
 ``ProcessPoolExecutor`` and reuses it across ``route()`` calls and
 resilience-campaign events.  A broken pool (``BrokenProcessPool``,
 crashed worker) is discarded and respawned on the next call;
 :func:`shutdown` — also exported as ``repro.api.shutdown_fabric`` —
-closes the pool and unlinks every live export.
+closes the pool and unlinks every owned segment.
 
 **Context packing.** :func:`pack_ctx` swaps :class:`Network` values in
 an engine context (top-level or tuple member) for shm handles before
-submission; :func:`unpack_ctx` reverses the swap inside the worker via
-a per-process attach cache.  When an export fails (no shared memory on
-the platform), the network is pickled as before and the
-``fabric.net_pickle_fallbacks`` counter records it.  Large ndarray
-context members (>= :data:`SCRATCH_MIN_BYTES`, e.g. the tree matrices
-of Up*/Down*'s selection phase or a forwarding table under a metrics
-sweep) travel the same way: packed into one per-call *scratch* segment
-(:func:`export_arrays`) instead of being re-pickled for every task,
-and unlinked by the engine right after the fan-out
-(:func:`release_ctx`).
+submission and large ndarrays for :class:`SegmentMember` tickets;
+:func:`unpack_ctx` reverses the swap inside the worker via the attach
+LRU.  When an export fails (no shared memory on the platform), the
+network is pickled as before and the ``fabric.net_pickle_fallbacks``
+counter records it.
 
 Results have one way back: the pool pickles a task's return value as
 is.  Forwarding columns are not part of it — workers write them in
@@ -51,11 +59,13 @@ algorithms (see ``docs/engine.md``).
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,68 +96,81 @@ __all__ = [
     "attach_arrays",
 ]
 
+
+def _count(name: str, value: int = 1) -> None:
+    if obs.enabled():
+        obs.count(name, value)
+
+
+# -- segments: the one shm mechanism ------------------------------------------
+
 #: every fabric segment name starts with this, so a CI job can assert
 #: nothing named ``repro_fab_*`` survives in /dev/shm after a test run
 SEGMENT_PREFIX = "repro_fab_"
 
 _ALIGN = 16  # buffer offsets are 16-byte aligned inside a segment
 
-
-class ShmNetworkHandle:
-    """Picklable ticket for a shared-memory-exported network.
-
-    Carries everything a worker needs to rehydrate the network without
-    pickling its structure: the export's fingerprint, the segment
-    name, the buffer layout (name, dtype, shape, byte offset), and the
-    small non-array fields (network name, node count, ``meta``).
-    """
-
-    __slots__ = ("fingerprint", "segment", "layout", "name",
-                 "n_nodes", "n_channels", "meta")
-
-    def __init__(self, fingerprint: str, segment: str,
-                 layout: Tuple[Tuple[str, str, Tuple[int, ...], int], ...],
-                 name: str, n_nodes: int, n_channels: int,
-                 meta: Dict[str, object]) -> None:
-        self.fingerprint = fingerprint
-        self.segment = segment
-        self.layout = layout
-        self.name = name
-        self.n_nodes = n_nodes
-        self.n_channels = n_channels
-        self.meta = meta
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ShmNetworkHandle({self.name!r}, "
-                f"fingerprint={self.fingerprint[:12]}..., "
-                f"segment={self.segment!r})")
+Layout = Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
 
 
-class _Export:
-    """Parent-side bookkeeping of one live segment."""
+@dataclass(frozen=True)
+class SegmentHandle:
+    """Picklable ticket for one segment: its name plus the layout
+    (``(key, dtype, shape, byte offset)`` per array) — all a worker
+    needs to map the arrays without any of their bytes being shipped."""
 
-    __slots__ = ("shm", "handle", "refs")
+    segment: str
+    layout: Layout
 
-    def __init__(self, shm, handle: ShmNetworkHandle) -> None:
+
+@dataclass(frozen=True)
+class SegmentMember:
+    """One array of a segment as an engine-context member (see
+    :func:`pack_ctx`); resolves to a read-only view in the worker."""
+
+    handle: SegmentHandle
+    key: str
+
+
+class _Mapping:
+    """This process's mapping of one segment: the ``SharedMemory``
+    object (kept next to the views — ``close()`` unmaps on some stacks
+    even while numpy views are alive), writable views per layout key,
+    the owning policy's ``kind`` (owner side only) and the network
+    rehydrated over the views, which dies with the mapping."""
+
+    __slots__ = ("shm", "handle", "views", "kind", "net")
+
+    def __init__(self, shm, handle: SegmentHandle,
+                 kind: Optional[str] = None) -> None:
         self.shm = shm
         self.handle = handle
-        self.refs = 1
+        self.views: Dict[str, np.ndarray] = {
+            key: np.ndarray(shape, dtype=dtype, buffer=shm.buf,
+                            offset=offset)
+            for key, dtype, shape, offset in handle.layout
+        }
+        self.kind = kind
+        self.net: Optional[Network] = None
 
 
-# -- parent-side export registry ----------------------------------------------
-
-_exports: Dict[str, _Export] = {}
-#: engine-owned exports (pack_ctx auto-exports), LRU-bounded so a long
-#: fault campaign does not accumulate one segment per degraded network
-_auto_exports: "OrderedDict[str, ShmNetworkHandle]" = OrderedDict()
-_AUTO_CAPACITY = 4
+#: segments this process created and must unlink: name -> mapping.
+#: :func:`shutdown` (and atexit behind it) drains it, so no segment can
+#: outlive the process even when a caller forgot its release.
+_owned: Dict[str, _Mapping] = {}
+#: segments another process owns, mapped here: a true LRU, so a long
+#: campaign's workers hold at most ``_ATTACH_CAPACITY`` mappings and a
+#: fan-out's tasks hitting the same worker map each segment once (one
+#: transition task already needs five: two networks, two tables and a
+#: scratch segment)
+_attached: "OrderedDict[str, _Mapping]" = OrderedDict()
+_ATTACH_CAPACITY = 8
+#: monotonic per-process sequence folded into every segment name so a
+#: new segment can never reuse a released one's name — forked pool
+#: workers inherit the parent's ``_owned`` map, and a name reuse would
+#: let a stale inherited mapping swallow the new segment's writes
+#: (``next()`` on it is atomic, so service threads never share a number)
+_seq = itertools.count(1)
 _owner_pid: Optional[int] = None
 
 
@@ -160,15 +183,10 @@ def _register_cleanup() -> None:
 
 def _atexit_cleanup() -> None:
     # forked pool workers inherit this handler together with the
-    # export registry; only the exporting process may unlink
+    # owner map; only the creating process may unlink
     if os.getpid() != _owner_pid:
         return
     shutdown(wait=False)
-
-
-def _count(name: str, value: int = 1) -> None:
-    if obs.enabled():
-        obs.count(name, value)
 
 
 def _alloc_raw(specs, seg_base: str):
@@ -176,8 +194,7 @@ def _alloc_raw(specs, seg_base: str):
     (``(key, dtype, shape)`` per array) without copying anything in —
     the table store writes columns straight into the mapping, so there
     is never a private staging array of the full table.  Returns
-    ``(shm, layout)`` where layout is ``(key, dtype, shape, offset)``
-    per array, offsets 16-byte aligned."""
+    ``(shm, layout)``, offsets 16-byte aligned."""
     from multiprocessing import shared_memory
 
     layout: List[Tuple[str, str, Tuple[int, ...], int]] = []
@@ -204,141 +221,22 @@ def _alloc_raw(specs, seg_base: str):
     return shm, layout
 
 
-def _alloc_segment(bufs, seg_base: str):
-    """Allocate one segment holding every array of ``bufs``, copied in
-    at 16-byte-aligned offsets.  Returns ``(shm, layout)`` where layout
-    is ``(key, dtype, shape, offset)`` per array."""
-    specs = [(key, arr.dtype.str, arr.shape) for key, arr in bufs.items()]
-    shm, layout = _alloc_raw(specs, seg_base)
-    for (key, dtype, shape, off), arr in zip(layout, bufs.values()):
-        dst = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
-        dst[...] = arr
-    return shm, layout
-
-
-def _segment_buffers(net: Network) -> "OrderedDict[str, np.ndarray]":
-    csr = net.csr
-    bufs: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for key in EXPORTED_BUFFERS:
-        bufs[key] = np.ascontiguousarray(getattr(csr, key))
-    blob = "\x00".join(net.node_names).encode("utf-8")
-    bufs["names_blob"] = np.frombuffer(blob, dtype=np.uint8)
-    return bufs
-
-
-def export_network(net: Network,
-                   fingerprint: Optional[str] = None) -> ShmNetworkHandle:
-    """Export ``net``'s CSR core into a shared-memory segment.
-
-    Idempotent per structure: a second export of a network with the
-    same :func:`~repro.engine.fingerprint.network_fingerprint` bumps
-    the existing segment's reference count and returns the same
-    handle (``fabric.shm_export_reuses``).  Pair every call with
-    :func:`release_network`; :func:`shutdown`/``atexit`` unlink
-    whatever is still live.
-    """
-    from repro.engine.fingerprint import network_fingerprint
-
-    net = as_network(net)
-    fp = fingerprint or network_fingerprint(net)
-    ent = _exports.get(fp)
-    if ent is not None:
-        ent.refs += 1
-        _count("fabric.shm_export_reuses")
-        return ent.handle
-
-    bufs = _segment_buffers(net)
-    shm, layout = _alloc_segment(bufs, f"{SEGMENT_PREFIX}{fp[:16]}")
-
-    handle = ShmNetworkHandle(
-        fingerprint=fp, segment=shm.name, layout=tuple(layout),
-        name=net.name, n_nodes=net.n_nodes, n_channels=net.n_channels,
-        meta=dict(net.meta),
-    )
-    _exports[fp] = _Export(shm, handle)
+def _create(kind: str, specs) -> _Mapping:
+    """Create and own one zero-filled segment for ``specs``."""
+    shm, layout = _alloc_raw(specs, f"{SEGMENT_PREFIX}{kind}{next(_seq)}")
+    mapping = _owned[shm.name] = _Mapping(
+        shm, SegmentHandle(shm.name, tuple(layout)), kind)
     _register_cleanup()
-    _count("fabric.shm_exports")
-    return handle
+    return mapping
 
 
-def release_network(ref) -> bool:
-    """Drop one reference to an export; unlink the segment at zero.
-
-    ``ref`` is a fingerprint string or a :class:`ShmNetworkHandle`.
-    Returns True when a live export was found.  Releasing an already
-    unlinked export is a silent no-op (never a double unlink).
-    """
-    fp = ref.fingerprint if isinstance(ref, ShmNetworkHandle) else ref
-    ent = _exports.get(fp)
-    if ent is None:
-        return False
-    ent.refs -= 1
-    if ent.refs <= 0:
-        del _exports[fp]
-        _unlink(ent.shm)
-    return True
-
-
-def _close(shm) -> None:
-    """Unmap this process's view of a segment; the segment itself
-    stays until its owner unlinks it."""
-    try:
-        shm.close()
-    except (BufferError, OSError):
-        pass
-
-
-def _unlink(shm) -> None:
-    # close and unlink independently so a close() failure can never
-    # leave a /dev/shm entry behind.  close() unmaps this process's
-    # view (on some stacks even while numpy views are alive — which is
-    # why attach_network keeps its SharedMemory objects cached next to
-    # the rehydrated networks); other processes' mappings stay valid
-    # after unlink per POSIX.
-    _close(shm)
-    try:
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - races only
-        pass
-
-
-def _map_layout(layout, shm, writable: bool) -> Dict[str, np.ndarray]:
-    """Views over a mapped segment, one per ``layout`` entry."""
-    arrays: Dict[str, np.ndarray] = {}
-    for key, dtype, shape, offset in layout:
-        arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
-        arr.flags.writeable = writable
-        arrays[key] = arr
-    return arrays
-
-
-def active_exports() -> Dict[str, int]:
-    """Live exports as ``{fingerprint: refcount}`` (diagnostics)."""
-    return {fp: ent.refs for fp, ent in _exports.items()}
-
-
-def _auto_export(net: Network) -> ShmNetworkHandle:
-    """Engine-owned export used by :func:`pack_ctx` (LRU, capacity 4)."""
-    from repro.engine.fingerprint import network_fingerprint
-
-    fp = network_fingerprint(net)
-    handle = _auto_exports.get(fp)
-    if handle is not None:
-        _auto_exports.move_to_end(fp)
-        _count("fabric.shm_export_reuses")
-        return handle
-    handle = export_network(net, fingerprint=fp)
-    _auto_exports[fp] = handle
-    while len(_auto_exports) > _AUTO_CAPACITY:
-        old_fp, _old = _auto_exports.popitem(last=False)
-        release_network(old_fp)
-    return handle
-
-
-# -- worker-side attach cache -------------------------------------------------
-
-_attached: Dict[str, Tuple[object, Network]] = {}
-_ATTACH_CAPACITY = 8
+def _create_from(kind: str, bufs: Dict[str, np.ndarray]) -> SegmentHandle:
+    """Create and own one segment holding a copy of every array."""
+    mapping = _create(
+        kind, [(key, arr.dtype.str, arr.shape) for key, arr in bufs.items()])
+    for key, arr in bufs.items():
+        mapping.views[key][...] = arr
+    return mapping.handle
 
 
 def _open_segment(name: str):
@@ -365,9 +263,198 @@ def _open_segment(name: str):
         resource_tracker.register = orig_register
 
 
-def _rehydrate(handle: ShmNetworkHandle, shm) -> Network:
+def _attach(handle: SegmentHandle) -> _Mapping:
+    """This process's mapping of ``handle``'s segment.
+
+    In the owning process (``workers=1``, the serial fallback) that is
+    the owner's mapping itself — callers write through the owner's
+    views, no second mapping; elsewhere the attach LRU.  Raises
+    ``OSError`` when the segment is gone."""
+    mapping = _owned.get(handle.segment)
+    if mapping is not None:
+        return mapping
+    mapping = _attached.get(handle.segment)
+    if mapping is not None:
+        _attached.move_to_end(handle.segment)
+        return mapping
+    mapping = _Mapping(_open_segment(handle.segment), handle)
+    while len(_attached) >= _ATTACH_CAPACITY:
+        _name, old = _attached.popitem(last=False)
+        _close(old.shm)
+    _attached[handle.segment] = mapping
+    _count("fabric.segment_attaches")
+    return mapping
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _close(shm) -> None:
+    """Unmap this process's view of a segment; the segment itself
+    stays until its owner unlinks it."""
+    try:
+        shm.close()
+    except (BufferError, OSError):
+        pass
+
+
+def _unlink(handle: SegmentHandle) -> bool:
+    """Unlink an owned segment.  Returns False — never a double unlink
+    — when this process does not (or no longer) own it."""
+    mapping = _owned.pop(handle.segment, None)
+    if mapping is None:
+        return False
+    # close and unlink independently so a close() failure can never
+    # leave a /dev/shm entry behind; other processes' mappings stay
+    # valid after unlink per POSIX
+    _close(mapping.shm)
+    try:
+        mapping.shm.unlink()
+    except (FileNotFoundError, OSError):  # pragma: no cover - races only
+        pass
+    return True
+
+
+def _drain() -> None:
+    """Unlink everything owned, unmap everything attached."""
+    for mapping in list(_owned.values()):
+        _unlink(mapping.handle)
+    while _attached:
+        _name, mapping = _attached.popitem()
+        _close(mapping.shm)
+
+
+def _member_for(arr: np.ndarray) -> Optional[SegmentMember]:
+    """The zero-copy ticket for ``arr`` if it *is* an owned segment's
+    view.  Identity-based: only the canonical views match (a slice or
+    copy does not) — in practice the ``next_channel``/``vl`` of a live
+    :class:`~repro.engine.tablestore.RouteTable`, the only owned views
+    ever handed out, which is exactly what engine contexts carry."""
+    for mapping in list(_owned.values()):
+        for key, view in mapping.views.items():
+            if arr is view:
+                return SegmentMember(mapping.handle, key)
+    return None
+
+
+# -- networks: refcounted per fingerprint -------------------------------------
+
+@dataclass
+class ShmNetworkHandle:
+    """Picklable ticket for a shared-memory-exported network: the
+    export's fingerprint, its segment handle, and the small non-array
+    fields a worker needs to rehydrate the network without pickling its
+    structure."""
+
+    fingerprint: str
+    handle: SegmentHandle
+    name: str
+    n_nodes: int
+    n_channels: int
+    meta: Dict[str, object]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"ShmNetworkHandle({self.name!r}, "
+                f"fingerprint={self.fingerprint[:12]}..., "
+                f"segment={self.handle.segment!r})")
+
+
+@dataclass
+class _Export:
+    handle: ShmNetworkHandle
+    refs: int = 1
+
+
+_exports: Dict[str, _Export] = {}
+#: engine-owned exports (pack_ctx auto-exports), LRU-bounded so a long
+#: fault campaign does not accumulate one segment per degraded network
+_auto_exports: "OrderedDict[str, ShmNetworkHandle]" = OrderedDict()
+_AUTO_CAPACITY = 4
+
+
+def export_network(net: Network,
+                   fingerprint: Optional[str] = None) -> ShmNetworkHandle:
+    """Export ``net``'s CSR core into a shared-memory segment.
+
+    Idempotent per structure: a second export of a network with the
+    same :func:`~repro.engine.fingerprint.network_fingerprint` bumps
+    the existing segment's reference count and returns the same
+    handle (``fabric.shm_export_reuses``).  Pair every call with
+    :func:`release_network`; :func:`shutdown`/``atexit`` unlink
+    whatever is still live.
+    """
+    from repro.engine.fingerprint import network_fingerprint
+
+    net = as_network(net)
+    fp = fingerprint or network_fingerprint(net)
+    ent = _exports.get(fp)
+    if ent is not None:
+        ent.refs += 1
+        _count("fabric.shm_export_reuses")
+        return ent.handle
+
+    csr = net.csr
+    bufs = {key: getattr(csr, key) for key in EXPORTED_BUFFERS}
+    blob = "\x00".join(net.node_names).encode("utf-8")
+    bufs["names_blob"] = np.frombuffer(blob, dtype=np.uint8)
+    handle = ShmNetworkHandle(
+        fingerprint=fp, handle=_create_from("net", bufs),
+        name=net.name, n_nodes=net.n_nodes, n_channels=net.n_channels,
+        meta=dict(net.meta),
+    )
+    _exports[fp] = _Export(handle)
+    _count("fabric.shm_exports")
+    return handle
+
+
+def release_network(ref) -> bool:
+    """Drop one reference to an export; unlink the segment at zero.
+
+    ``ref`` is a fingerprint string or a :class:`ShmNetworkHandle`.
+    Returns True when a live export was found.  Releasing an already
+    unlinked export is a silent no-op (never a double unlink).
+    """
+    fp = ref.fingerprint if isinstance(ref, ShmNetworkHandle) else ref
+    ent = _exports.get(fp)
+    if ent is None:
+        return False
+    ent.refs -= 1
+    if ent.refs <= 0:
+        del _exports[fp]
+        _unlink(ent.handle.handle)
+    return True
+
+
+def active_exports() -> Dict[str, int]:
+    """Live exports as ``{fingerprint: refcount}`` (diagnostics)."""
+    return {fp: ent.refs for fp, ent in _exports.items()}
+
+
+def _auto_export(net: Network) -> ShmNetworkHandle:
+    """Engine-owned export used by :func:`pack_ctx` (LRU, capacity 4)."""
+    from repro.engine.fingerprint import network_fingerprint
+
+    fp = network_fingerprint(net)
+    handle = _auto_exports.get(fp)
+    if handle is not None:
+        _auto_exports.move_to_end(fp)
+        _count("fabric.shm_export_reuses")
+        return handle
+    handle = export_network(net, fingerprint=fp)
+    _auto_exports[fp] = handle
+    while len(_auto_exports) > _AUTO_CAPACITY:
+        old_fp, _old = _auto_exports.popitem(last=False)
+        release_network(old_fp)
+    return handle
+
+
+def _rehydrate(handle: ShmNetworkHandle,
+               views: Dict[str, np.ndarray]) -> Network:
     """Rebuild a read-only Network + CSRView over mapped buffers."""
-    arrays = _map_layout(handle.layout, shm, writable=False)
+    arrays = {key: _readonly(view) for key, view in views.items()}
 
     net = Network.__new__(Network)
     net.name = handle.name
@@ -395,115 +482,41 @@ def _rehydrate(handle: ShmNetworkHandle, shm) -> Network:
 
 
 def attach_network(handle: ShmNetworkHandle) -> Network:
-    """Materialise the network behind ``handle`` (cached per process)."""
-    ent = _attached.get(handle.fingerprint)
-    if ent is not None:
-        return ent[1]
-    shm = _open_segment(handle.segment)
-    net = _rehydrate(handle, shm)
-    while len(_attached) >= _ATTACH_CAPACITY:
-        _fp, (old_shm, _old_net) = _attached.popitem()
-        _close(old_shm)
-    _attached[handle.fingerprint] = (shm, net)
-    _count("fabric.shm_attaches")
-    return net
+    """Materialise the network behind ``handle`` (cached per mapping)."""
+    mapping = _attach(handle.handle)
+    if mapping.net is None:
+        mapping.net = _rehydrate(handle, mapping.views)
+    return mapping.net
 
 
-# -- scratch array transport --------------------------------------------------
+# -- scratch arrays: one segment per call -------------------------------------
 
 #: ndarray context members at or above this size travel via a scratch
 #: shm segment instead of being re-pickled once per task
 SCRATCH_MIN_BYTES = 256 * 1024
 
 
-class ShmArraysHandle:
-    """Picklable ticket for a scratch segment of named arrays.
-
-    Unlike :class:`ShmNetworkHandle` a scratch export is per *call*,
-    not per structure: no fingerprint, no refcount — the engine
-    releases it right after the fan-out that packed it.
-    """
-
-    __slots__ = ("segment", "layout")
-
-    def __init__(self, segment: str, layout) -> None:
-        self.segment = segment
-        self.layout = layout
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-
-class _ScratchArray:
-    """One packed ndarray: a scratch handle plus the array's key."""
-
-    __slots__ = ("handle", "key")
-
-    def __init__(self, handle: ShmArraysHandle, key: str) -> None:
-        self.handle = handle
-        self.key = key
-
-    def __getstate__(self):
-        return (self.handle, self.key)
-
-    def __setstate__(self, state):
-        self.handle, self.key = state
-
-
-_scratch: Dict[str, Any] = {}           # parent: segment name -> shm
-_scratch_seq = 0
-
-
-def export_arrays(arrays: Dict[str, np.ndarray]) -> ShmArraysHandle:
+def export_arrays(arrays: Dict[str, np.ndarray]) -> SegmentHandle:
     """Copy ``arrays`` into one scratch segment; pair with
-    :func:`release_arrays` (or :func:`release_ctx` when packed)."""
-    global _scratch_seq
-    _scratch_seq += 1
-    bufs = OrderedDict(
-        (key, np.ascontiguousarray(arr)) for key, arr in arrays.items()
-    )
-    shm, layout = _alloc_segment(
-        bufs, f"{SEGMENT_PREFIX}scr{_scratch_seq}")
-    _scratch[shm.name] = shm
-    _register_cleanup()
+    :func:`release_arrays` (or :func:`release_ctx` when packed).
+
+    Unlike a network export a scratch segment is per *call*, not per
+    structure: no fingerprint, no refcount — the engine releases it
+    right after the fan-out that packed it."""
+    handle = _create_from("scr", arrays)
     _count("fabric.scratch_exports")
-    return ShmArraysHandle(segment=shm.name, layout=tuple(layout))
+    return handle
 
 
-def release_arrays(handle: ShmArraysHandle) -> bool:
+def release_arrays(handle: SegmentHandle) -> bool:
     """Unlink a scratch segment (parent side; idempotent)."""
-    shm = _scratch.pop(handle.segment, None)
-    if shm is None:
-        return False
-    _unlink(shm)
-    return True
+    return _unlink(handle)
 
 
-#: worker-side scratch attach cache: tasks of one fan-out hitting the
-#: same worker map the segment once; old entries are closed on eviction
-_attached_scratch: "OrderedDict[str, Tuple[Any, Dict[str, np.ndarray]]]" \
-    = OrderedDict()
-_SCRATCH_ATTACH_CAPACITY = 4
-
-
-def attach_arrays(handle: ShmArraysHandle) -> Dict[str, np.ndarray]:
-    """Read-only views of a scratch export (cached per process)."""
-    ent = _attached_scratch.get(handle.segment)
-    if ent is not None:
-        _attached_scratch.move_to_end(handle.segment)
-        return ent[1]
-    shm = _open_segment(handle.segment)
-    arrays = _map_layout(handle.layout, shm, writable=False)
-    while len(_attached_scratch) >= _SCRATCH_ATTACH_CAPACITY:
-        _seg, (old_shm, _old) = _attached_scratch.popitem(last=False)
-        _close(old_shm)
-    _attached_scratch[handle.segment] = (shm, arrays)
-    _count("fabric.scratch_attaches")
-    return arrays
+def attach_arrays(handle: SegmentHandle) -> Dict[str, np.ndarray]:
+    """Read-only views of a scratch export."""
+    return {key: _readonly(view)
+            for key, view in _attach(handle).views.items()}
 
 
 # -- context packing ----------------------------------------------------------
@@ -516,10 +529,11 @@ def pack_ctx(ctx: Any) -> Tuple[Any, int]:
 
     * :class:`Network` values — swapped for a refcounted
       :class:`ShmNetworkHandle` (engine-owned LRU export);
-    * ndarrays that *are* a live shm table's views (a
-      :class:`~repro.engine.tablestore.RouteTable` produced by a prior
-      route) — swapped for a zero-copy table ticket: nothing is copied
-      at all, workers attach the existing segment read-only;
+    * ndarrays that *are* an owned segment's views (the tables of a
+      live :class:`~repro.engine.tablestore.RouteTable` produced by a
+      prior route) — swapped for a :class:`SegmentMember` of the
+      existing segment: nothing is copied at all
+      (``fabric.table_ctx_hits``);
     * other ndarrays of >= :data:`SCRATCH_MIN_BYTES` — packed together
       into one per-call scratch segment, so e.g. a forwarding table
       under a metrics sweep crosses the pipe once instead of once per
@@ -529,22 +543,10 @@ def pack_ctx(ctx: Any) -> Tuple[Any, int]:
     non-zero only when an export failed and the engine fell back to
     pickling.  Pair with :func:`release_ctx` after the fan-out.
     """
-    from repro.engine import tablestore
-
     items = list(ctx) if isinstance(ctx, tuple) else [ctx]
     packed: List[Any] = list(items)
     fallbacks = 0
     big = {}
-    for i, item in enumerate(items):
-        if not isinstance(item, np.ndarray) or \
-                item.nbytes < SCRATCH_MIN_BYTES:
-            continue
-        ticket = tablestore.ticket_for(item)
-        if ticket is not None:
-            packed[i] = ticket
-            _count("fabric.table_ctx_hits")
-        else:
-            big[i] = item
     for i, item in enumerate(items):
         if isinstance(item, Network):
             try:
@@ -552,54 +554,56 @@ def pack_ctx(ctx: Any) -> Tuple[Any, int]:
             except (OSError, ValueError, ImportError):
                 _count("fabric.net_pickle_fallbacks")
                 fallbacks += 1
+        elif isinstance(item, np.ndarray) and \
+                item.nbytes >= SCRATCH_MIN_BYTES:
+            member = _member_for(item)
+            if member is not None:
+                packed[i] = member
+                _count("fabric.table_ctx_hits")
+            else:
+                big[i] = item
     if big:
         try:
             handle = export_arrays(
                 {f"a{i}": arr for i, arr in big.items()})
         except (OSError, ValueError):  # no shm: arrays stay pickled
-            handle = None
-        if handle is not None:
+            pass
+        else:
             for i in big:
-                packed[i] = _ScratchArray(handle, f"a{i}")
+                packed[i] = SegmentMember(handle, f"a{i}")
     if isinstance(ctx, tuple):
         return tuple(packed), fallbacks
     return packed[0], fallbacks
 
 
 def unpack_ctx(ctx: Any) -> Any:
-    """Reverse :func:`pack_ctx` inside a worker (attach-cache backed)."""
-    from repro.engine.tablestore import TableTicket, attach_ticket
+    """Reverse :func:`pack_ctx` inside a worker (attach-LRU backed)."""
 
     def restore(item):
         if isinstance(item, ShmNetworkHandle):
             return attach_network(item)
-        if isinstance(item, _ScratchArray):
-            return attach_arrays(item.handle)[item.key]
-        if isinstance(item, TableTicket):
-            return attach_ticket(item)
+        if isinstance(item, SegmentMember):
+            return _readonly(_attach(item.handle).views[item.key])
         return item
 
-    if isinstance(ctx, tuple) and any(
-        isinstance(item, (ShmNetworkHandle, _ScratchArray, TableTicket))
-        for item in ctx
-    ):
+    if isinstance(ctx, tuple):
         return tuple(restore(item) for item in ctx)
     return restore(ctx)
 
 
 def release_ctx(packed: Any) -> None:
-    """Unlink the scratch segments a :func:`pack_ctx` result refers to.
+    """Unlink the scratch segment a :func:`pack_ctx` result refers to.
 
     Network exports are *not* released here — they are engine-owned and
-    LRU-recycled across calls; scratch segments are strictly per call.
+    LRU-recycled across calls — and neither is a route table a member
+    points into (its ``RouteTable`` owns it); scratch segments are
+    strictly per call.
     """
-    items = packed if isinstance(packed, tuple) else (packed,)
-    seen = set()
-    for item in items:
-        if isinstance(item, _ScratchArray) and \
-                item.handle.segment not in seen:
-            seen.add(item.handle.segment)
-            release_arrays(item.handle)
+    for item in packed if isinstance(packed, tuple) else (packed,):
+        if isinstance(item, SegmentMember):
+            mapping = _owned.get(item.handle.segment)
+            if mapping is not None and mapping.kind == "scr":
+                _unlink(item.handle)
 
 
 # -- persistent worker pool ---------------------------------------------------
@@ -744,25 +748,12 @@ def shutdown(wait: bool = True) -> None:
         except Exception:  # pragma: no cover - listener bugs stay local
             pass
     discard_pool(wait=wait)
-    tablestore = sys.modules.get("repro.engine.tablestore")
-    if tablestore is not None:
-        tablestore._shutdown_tables()
-    while _auto_exports:
-        fp, _handle = _auto_exports.popitem(last=False)
-        release_network(fp)
-    # manually exported segments still referenced: force-unlink so no
-    # /dev/shm entry can outlive the process
-    for fp in list(_exports):
-        ent = _exports.pop(fp)
-        _unlink(ent.shm)
-    for fp in list(_attached):
-        shm, _net = _attached.pop(fp)
-        _close(shm)
-    for name in list(_scratch):
-        _unlink(_scratch.pop(name))
-    for seg in list(_attached_scratch):
-        shm, _arrays = _attached_scratch.pop(seg)
-        _close(shm)
+    # whatever is still owned — forgotten tables, exports still
+    # referenced — is force-unlinked: no /dev/shm entry may outlive
+    # the process
+    _drain()
+    _exports.clear()
+    _auto_exports.clear()
 
 
 # -- destination sharding -----------------------------------------------------

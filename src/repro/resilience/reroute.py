@@ -98,7 +98,7 @@ def exact_reroute(
 def _repair_layer(
     ctx: Tuple[Network, "_LayerConfig", List[int]],
     task: Tuple[int, List[int], Optional[np.ndarray], List[bool],
-                Optional[tablestore.TableHandle], List[int]],
+                Optional[tablestore.SegmentHandle], List[int]],
 ) -> Tuple[int, Optional[np.ndarray], Dict[str, object]]:
     """Repair one virtual layer (engine worker function).
 
@@ -108,7 +108,7 @@ def _repair_layer(
     destinations in subset order.  Deterministic given the task, so it
     runs identically serial or pooled.
 
-    With an shm :class:`~repro.engine.tablestore.TableHandle` in the
+    With the table's :class:`~repro.engine.fabric.SegmentHandle` in the
     task, no table bytes travel either direction: the parent prefilled
     the new table with the prior's columns, so the worker *stages its
     prior block from the shm mapping itself* (``cols`` are the layer's

@@ -86,7 +86,7 @@ class RoutingResult:
         """Column index of destination node ``dest``."""
         return self._dest_index[dest]
 
-    # -- shm table ownership (PR 10) ------------------------------------------
+    # -- shm table ownership ---------------------------------------------------
 
     def attach_table(self, table) -> None:
         """Adopt ownership of the backing table.
@@ -106,7 +106,7 @@ class RoutingResult:
     @property
     def shm_backed(self) -> bool:
         """Whether the tables are views of a live shm table segment."""
-        table = getattr(self, "_table", None)
+        table = self._table
         return table is not None and table.handle is not None \
             and not table.closed
 
@@ -118,21 +118,9 @@ class RoutingResult:
         :meth:`materialize`).  Results without an shm table ignore
         this, so consumers can release unconditionally.
         """
-        table, self._table = getattr(self, "_table", None), None
+        table, self._table = self._table, None
         if table is not None:
             table.release()
-
-    def detach_table(self):
-        """Hand the backing shm table (or ``None``) to the caller.
-
-        Transfers ownership without touching the refcount: the caller
-        now holds the release obligation, and the result's arrays stay
-        valid views for exactly as long as the caller keeps the table
-        alive.  The service LRU uses this to pin the latest table per
-        fabric.
-        """
-        table, self._table = getattr(self, "_table", None), None
-        return table
 
     def materialize(self) -> "RoutingResult":
         """Detach from the shm store: private copies, segment released.

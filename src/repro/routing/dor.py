@@ -119,7 +119,7 @@ class TorusGeometry:
 
 
 def _dor_columns(
-    ctx: Tuple[Network, Optional["tablestore.TableHandle"]],
+    ctx: Tuple[Network, Optional["tablestore.SegmentHandle"]],
     shard: Tuple[Sequence[int], int],
 ) -> Optional[np.ndarray]:
     """Worker: DOR forwarding columns for one destination shard.

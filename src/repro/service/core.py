@@ -73,18 +73,15 @@ def _gauge(name: str, value: float) -> None:
 class _NetworkCache:
     """LRU of admitted networks; admission pins a shm export.
 
-    Each entry may also pin the *latest* forwarding-table segment
-    routed for that fabric (:meth:`pin_table`): the table's lifetime is
-    tied to its network's LRU slot, so ``/dev/shm`` usage stays bounded
-    by ``capacity`` tables no matter how many route requests a tenant
-    issues — eviction releases the network export and its table
-    together.
+    Forwarding tables are never held here: every executor copies its
+    table out into the response and releases the segment before it
+    returns, so ``/dev/shm`` usage is bounded by ``capacity`` network
+    exports plus the tables of the requests in flight.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._tables: Dict[str, Any] = {}
 
     def admit(self, net: Any, fingerprint: str) -> None:
         from repro.engine import fabric
@@ -98,30 +95,8 @@ class _NetworkCache:
         _count("service.networks_admitted")
         while len(self._entries) > self.capacity:
             old_fp, _net = self._entries.popitem(last=False)
-            self._release_table(old_fp)
             fabric.release_network(old_fp)
             _count("service.networks_evicted")
-
-    def pin_table(self, fingerprint: str, table: Any) -> None:
-        """Adopt the latest shm table routed for ``fingerprint``.
-
-        Ownership transfers to the cache (the executor already
-        detached it from the result); any previously pinned table for
-        the same fabric is released.  Tables for fabrics no longer in
-        the LRU are released immediately.
-        """
-        self._release_table(fingerprint)
-        if fingerprint in self._entries:
-            self._tables[fingerprint] = table
-            _count("service.tables_pinned")
-        else:
-            table.release()
-
-    def _release_table(self, fingerprint: str) -> None:
-        table = self._tables.pop(fingerprint, None)
-        if table is not None:
-            table.release()
-            _count("service.tables_released")
 
     def get(self, fingerprint: str) -> Optional[Any]:
         net = self._entries.get(fingerprint)
@@ -135,9 +110,7 @@ class _NetworkCache:
         while self._entries:
             fp, _net = self._entries.popitem(last=False)
             if release:
-                self._release_table(fp)
                 fabric.release_network(fp)
-        self._tables.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -175,7 +148,7 @@ class RoutingService:
         #: what an op's executor takes beyond the request, ``workers``
         #: and the prepared ``net``/``fingerprint``
         self._executor_options: Dict[str, Dict[str, Any]] = {
-            "route": {"cache": cache, "on_table": self._pin_table},
+            "route": {"cache": cache},
             "analyze": {"cache": cache},
         }
         self._networks = _NetworkCache(max_networks)
@@ -317,25 +290,6 @@ class RoutingService:
         self._rpc_span(op, time.perf_counter_ns() - started)
         with contextlib.suppress(comms.CommClosedError):
             await comm.send(response)
-
-    def _pin_table(self, fingerprint: str, table: Any) -> None:
-        """Table sink for the executors: adopt the freshly routed shm
-        table into the network LRU.  Runs on a compute thread, so the
-        actual (not thread-safe) LRU mutation hops to the event loop;
-        with no loop to hop to, the table is released on the spot."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            table.release()
-            return
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            self._networks.pin_table(fingerprint, table)
-        else:
-            loop.call_soon_threadsafe(
-                self._networks.pin_table, fingerprint, table)
 
     def _rpc_span(self, op: str, dur_ns: int) -> None:
         """Per-RPC span without touching the (non-async-safe) global

@@ -164,7 +164,7 @@ class RouteResponse(WireMessage):
     def from_result(cls, result: "Any",
                     fingerprint: str) -> "RouteResponse":
         nxt, vl = result.next_channel, result.vl
-        if getattr(result, "shm_backed", False):
+        if result.shm_backed:
             # private copies: the shm table may be released (and its
             # segment unmapped) the moment this response exists
             nxt, vl = nxt.copy(), vl.copy()
@@ -471,29 +471,11 @@ class TransitionResponse(WireMessage):
 # The single implementation both call paths use.  The daemon invokes
 # these from its compute executor; the facade invokes them directly.
 
-def _settle_table(result: Any, fingerprint: str,
-                  on_table: Optional[Any]) -> None:
-    """Settle a routed result's shm table ownership: hand it to the
-    ``on_table(fingerprint, table)`` sink (the daemon pins it in its
-    network LRU) or release it right here — either way the response
-    already owns private copies and the segment never outlives its
-    owner."""
-    table = result.detach_table() if hasattr(result, "detach_table") \
-        else None
-    if table is None:
-        return
-    if on_table is not None:
-        on_table(fingerprint, table)
-    else:
-        table.release()
-
-
 def execute_route(request: RouteRequest, *,
                   workers: Optional[int] = None,
                   cache: bool = False,
                   net: Optional[Network] = None,
-                  fingerprint: Optional[str] = None,
-                  on_table: Optional[Any] = None) -> RouteResponse:
+                  fingerprint: Optional[str] = None) -> RouteResponse:
     """Run one :class:`RouteRequest` in this process."""
     from repro.engine.fingerprint import network_fingerprint
     from repro.routing.registry import make_algorithm
@@ -510,7 +492,7 @@ def execute_route(request: RouteRequest, *,
     )
     result = algo.route(net, dests=request.dests, seed=request.seed)
     response = RouteResponse.from_result(result, fp)
-    _settle_table(result, fp, on_table)
+    result.release()
     return response
 
 

@@ -13,8 +13,10 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 import numpy as np
+from shmcheck import shm_leaks
 
 from repro import obs
+from repro.engine import fabric
 from repro.network.topologies import (
     binary_tree,
     hypercube,
@@ -39,6 +41,27 @@ def route_one(router, dest):
     (step,) = router.route_batch([dest], block)
     rev = net.channel_reverse
     return step, [int(rev[c]) if c >= 0 else -1 for c in block[:, 0]]
+
+
+@pytest.fixture
+def clean_fabric():
+    """The fabric is module-global state; never leak it — or a shm
+    segment — across tests."""
+    fabric.shutdown()
+    yield
+    fabric.shutdown()
+    assert shm_leaks() == []
+
+
+def pytest_sessionfinish(session):
+    """Tier-1 itself fails on a leaked segment: after the fabric's own
+    shutdown nothing this process created may be left in /dev/shm."""
+    fabric.shutdown()
+    leaked = shm_leaks()
+    if leaked:
+        print(f"\nleaked /dev/shm fabric segments: {leaked}",
+              file=sys.stderr)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

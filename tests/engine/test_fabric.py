@@ -8,30 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from shmcheck import shm_leaks as _shm_leaks
 
 from repro import engine, obs
 from repro.engine import fabric
 from repro.engine.fingerprint import network_fingerprint
 from repro.network.topologies import ring, torus
 
-
-@pytest.fixture(autouse=True)
-def _clean_fabric():
-    """The fabric is module-global state; never leak it across tests."""
-    fabric.shutdown()
-    yield
-    fabric.shutdown()
-
-
-def _shm_leaks():
-    """Fabric segments still present in /dev/shm (empty when healthy)."""
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # non-POSIX platform: nothing to check
-        return []
-    return sorted(
-        name for name in os.listdir(shm_dir)
-        if name.startswith(fabric.SEGMENT_PREFIX)
-    )
+pytestmark = pytest.mark.usefixtures("clean_fabric")
 
 
 def _crash_if_worker(ctx, task):
@@ -90,8 +74,7 @@ class TestExportAttachRoundTrip:
             assert len(blob) < 4096
             clone = pickle.loads(blob)
             assert clone.fingerprint == handle.fingerprint
-            assert clone.segment == handle.segment
-            assert clone.layout == handle.layout
+            assert clone.handle == handle.handle
         finally:
             fabric.release_network(handle)
 
@@ -155,6 +138,38 @@ class TestSegmentLifecycle:
         out = engine.run_layer_tasks(_double, None, [5, 6, 7], workers=2)
         assert out == [10, 12, 14]
         assert fabric.pool_stats()["alive"] == 1
+
+
+class TestAttachLRU:
+    def test_attach_cache_is_a_true_lru(self, monkeypatch):
+        """One process in both roles: it exports as the parent, then
+        attaches the way a pool worker does — with the owner map
+        hidden, so the same-process short-circuit stays out of the
+        way.  Regression: eviction used to be ``dict.popitem()`` (the
+        *newest* mapping went, the first seven stayed for the life of
+        the worker) and a hit was never refreshed."""
+        cap = fabric._ATTACH_CAPACITY
+        handles = [fabric.export_network(ring(n, 1))
+                   for n in range(4, 4 + cap + 2)]
+        obs.enable(obs.MemorySink(keep_events=False))
+
+        def attaches():
+            return obs.counters().get("fabric.segment_attaches", 0)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fabric, "_owned", {}, raising=False)
+            nets = [fabric.attach_network(h) for h in handles]
+            # hits refresh their entry ...
+            assert fabric.attach_network(handles[-1]) is nets[-1]
+            assert fabric.attach_network(handles[2]) is nets[2]
+            # ... the least recently used mappings were the ones closed ...
+            assert fabric.attach_network(handles[0]) is not nets[0]
+            # ... and that miss evicted handles[3], not the refreshed [2]
+            assert fabric.attach_network(handles[2]) is nets[2]
+            assert attaches() == cap + 3  # hits mapped nothing new
+            assert list(fabric._attached) == [
+                h.handle.segment
+                for h in handles[4:-1] + [handles[-1], handles[0], handles[2]]]
 
 
 class TestPersistentPool:
@@ -363,7 +378,7 @@ class TestScratchArrays:
         packed, fallbacks = fabric.pack_ctx((big, small, "tag"))
         try:
             assert fallbacks == 0
-            assert isinstance(packed[0], fabric._ScratchArray)
+            assert isinstance(packed[0], fabric.SegmentMember)
             assert packed[1] is small  # under the threshold: pickled
             assert packed[2] == "tag"
             restored = fabric.unpack_ctx(packed)

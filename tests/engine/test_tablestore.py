@@ -1,4 +1,4 @@
-"""Shm-resident forwarding tables: lifecycle, refcounting, zero-copy
+"""Shm-resident forwarding tables: single-owner lifecycle, zero-copy
 fan-out, the no-shm fallback and the crash/interrupt cleanup contract."""
 
 import copy
@@ -8,6 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
+from shmcheck import shm_leaks as _shm_leaks
 from digests import result_digest
 
 from repro import api, obs
@@ -16,22 +17,7 @@ from repro.network.topologies import torus
 from repro.routing import dor, make_algorithm
 from repro.routing.dor import DORRouting
 
-
-@pytest.fixture(autouse=True)
-def _clean_fabric():
-    fabric.shutdown()
-    yield
-    fabric.shutdown()
-
-
-def _shm_leaks():
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # non-POSIX platform
-        return []
-    return sorted(
-        name for name in os.listdir(shm_dir)
-        if name.startswith(fabric.SEGMENT_PREFIX)
-    )
+pytestmark = pytest.mark.usefixtures("clean_fabric")
 
 
 class TestLifecycle:
@@ -60,14 +46,17 @@ class TestLifecycle:
         assert table.release()
         assert not table.release()
 
-    def test_pin_keeps_segment_alive(self):
+    def test_table_has_one_owner(self):
+        # no refcount: the first release unlinks, and a table whose
+        # segment the fabric drained reads as closed without one
         table = tablestore.create_table(4, 2)
-        table.pin()
-        assert not table.release()  # route's reference
         assert not table.closed
-        assert table.release()  # pin holder's reference
-        with pytest.raises(ValueError):
-            table.pin()
+        assert table.release()
+        assert table.closed and not _shm_leaks()
+        forgotten = tablestore.create_table(4, 2)
+        fabric.shutdown()
+        assert forgotten.closed
+        assert not forgotten.release()  # nothing left to unlink
 
     def test_shutdown_reaps_forgotten_tables(self):
         tablestore.create_table(6, 4)
@@ -93,8 +82,7 @@ class TestOwnershipSemantics:
                 pickle.dumps(table)
             # the handle is the picklable ticket
             clone = pickle.loads(pickle.dumps(table.handle))
-            assert clone.segment == table.handle.segment
-            assert clone.n_nodes == table.handle.n_nodes
+            assert clone == table.handle
         finally:
             table.release()
 
@@ -127,14 +115,14 @@ class TestOwnershipSemantics:
     def test_ticket_for_matches_only_live_views(self):
         table = tablestore.create_table(4, 2)
         try:
-            ticket = tablestore.ticket_for(table.next_channel)
-            assert ticket is not None
-            assert ticket.key == "next_channel"
-            assert tablestore.ticket_for(table.vl).key == "vl"
-            assert tablestore.ticket_for(table.next_channel.copy()) is None
+            ticket = fabric._member_for(table.next_channel)
+            assert ticket == fabric.SegmentMember(table.handle,
+                                                  "next_channel")
+            assert fabric._member_for(table.vl).key == "vl"
+            assert fabric._member_for(table.next_channel.copy()) is None
         finally:
             table.release()
-        assert tablestore.ticket_for(table.next_channel) is None
+        assert fabric._member_for(table.next_channel) is None
 
 
 def _route_nue(net, workers):

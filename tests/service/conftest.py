@@ -3,36 +3,21 @@ blocking test algorithm for concurrency scenarios."""
 
 from __future__ import annotations
 
-import os
 import threading
 
 import pytest
 
-from repro.engine import cache, fabric
+from repro.engine import cache
 from repro.routing import registry
 
 
-def shm_leaks():
-    """Fabric segments still present in /dev/shm (empty when healthy)."""
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):  # non-POSIX platform: nothing to check
-        return []
-    return sorted(
-        name for name in os.listdir(shm_dir)
-        if name.startswith(fabric.SEGMENT_PREFIX)
-    )
-
-
 @pytest.fixture(autouse=True)
-def _clean_service_state():
+def _clean_service_state(clean_fabric):
     """The daemon leans on module-global engine state (fabric exports,
     route cache); never leak either — or a shm segment — across tests."""
     cache.disable_route_cache()
-    fabric.shutdown()
     yield
     cache.disable_route_cache()
-    fabric.shutdown()
-    assert shm_leaks() == []
 
 
 class BlockingAlgo:

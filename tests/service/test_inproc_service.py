@@ -18,10 +18,11 @@ import time
 
 import numpy as np
 import pytest
+from digests import result_digest
 
 from repro import api, obs
 from repro.engine import fabric
-from repro.network.topologies import ring
+from repro.network.topologies import ring, torus
 from repro.service import (
     AsyncServiceClient,
     RouteRequest,
@@ -181,30 +182,41 @@ class TestNetworkLRU:
         # after serve_in_thread exits, every pinned export is released
         assert fabric.active_exports() == {}
 
-    def test_pinned_tables_released_with_their_network(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["nue", "dor"])
+    def test_daemon_holds_no_table_segments(self, algorithm, workers):
+        """Every executor copies its table out and releases the
+        segment: N routes on one fabric and on ``max_networks + 1``
+        fabrics leave no table behind, only LRU-bounded exports."""
         from repro.engine import tablestore
 
-        obs.enable(obs.MemorySink(keep_events=False))
-        nets = [ring(n, 1) for n in (5, 6, 7)]
+        nets = [torus(dims, 1) for dims in ([3, 3], [3, 4], [4, 4])]
+        requests = [
+            RouteRequest(topology=net, algorithm=algorithm, max_vls=2,
+                         seed=seed, workers=workers)
+            for net, seed in [(nets[0], 1), (nets[0], 2), (nets[0], 3),
+                              (nets[1], 1), (nets[2], 1)]
+        ]
+        # the engine's own auto-export LRU holds references too once a
+        # pool is in play
+        bound_exports = 2 + (fabric._AUTO_CAPACITY if workers > 1 else 0)
 
-        with serve_in_thread(["inproc://svc-tbl"], max_networks=2) \
-                as (_service, bound):
+        with serve_in_thread(["inproc://svc-tbl"], max_networks=2,
+                             cache=False) as (service, bound):
             async def scenario():
+                digests = []
                 async with AsyncServiceClient(bound[0]) as client:
-                    for net in nets:
-                        await client.route(RouteRequest(
-                            topology=net, algorithm="nue", max_vls=1,
-                            seed=0))
+                    for request in requests:
+                        response = await client.route(request)
+                        assert tablestore.live_tables() == {}
+                        assert service.stats()["networks_cached"] <= 2
+                        assert len(fabric.active_exports()) <= bound_exports
+                        digests.append(result_digest(response))
+                return digests
 
-            asyncio.run(scenario())
+            served = asyncio.run(scenario())
 
-        counters = _counters()
-        pinned = counters.get("service.tables_pinned", 0)
-        if pinned == 0:
-            pytest.skip("no shm table store on this platform")
-        # every pin has a matching release: evictions drop the evicted
-        # fabric's table, drop_all sweeps the survivors at teardown
-        assert counters.get("service.tables_released", 0) == pinned
+        assert served == [result_digest(api.route(r)) for r in requests]
         assert tablestore.live_tables() == {}
 
     def test_repeat_tenant_reuses_admitted_network(self):
