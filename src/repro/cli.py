@@ -138,8 +138,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         config.setdefault("partitioner", args.partitioner)
     try:
         algo = make_algorithm(
-            args.algorithm, args.vls, workers=args.workers,
-            cache=args.cache, **config,
+            args.algorithm, args.vls, workers=args.workers, **config,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -246,7 +245,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = RoutingService(
         max_networks=args.networks,
         max_pending=args.max_pending,
-        concurrency=args.concurrency,
         workers=args.workers,
         cache=not args.no_cache,
     )
@@ -258,10 +256,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"listening on {address}", flush=True)
 
     addresses = args.bind or ["tcp://127.0.0.1:7469"]
+    # returns once SIGINT or SIGTERM has taken the daemon through
+    # service.stop(); a second Ctrl-C during that stop interrupts it
     try:
         asyncio.run(_serve_forever(service, addresses, on_bound))
     except KeyboardInterrupt:
-        pass
+        print("repro serve: interrupted during shutdown", file=sys.stderr)
+        return 130
     return 0
 
 
@@ -405,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route independent virtual layers on this many "
                         "processes (0 = all cores); output is "
                         "bit-identical to serial")
-    r.add_argument("--cache", action="store_true",
-                   help="memoise routing results (repro.engine cache)")
     r.add_argument("--partitioner", default="kway",
                    choices=["kway", "random", "cluster", "spectral"])
     r.add_argument("--seed", type=int, default=None)
@@ -517,9 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--workers", type=int, default=None,
                    help="engine parallelism per request "
                         "(0 = all cores); requests may override")
-    v.add_argument("--concurrency", type=int, default=2,
-                   help="concurrent computations (threads driving the "
-                        "shared fabric pool)")
     v.add_argument("--max-pending", type=int, default=32,
                    help="bound on distinct in-flight computations; "
                         "beyond it requests fail fast with "

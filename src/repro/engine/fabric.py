@@ -612,7 +612,7 @@ _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 _pool_spawns = 0
 _pool_bus: Any = None  # live-bus handle the current pool was spawned with
-#: get_pool/discard_pool may be entered from service executor threads
+#: get_pool/discard_pool may be entered from the service's compute lane
 #: concurrently with the main thread; spawning must be single-flight
 _pool_lock = threading.Lock()
 

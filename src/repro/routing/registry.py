@@ -20,8 +20,7 @@ inside the run.
 ``workers`` is forwarded to every algorithm (see
 :class:`~repro.routing.base.RoutingAlgorithm`): Nue parallelises its
 virtual layers over the :mod:`repro.engine` pool, the order-dependent
-baselines accept-and-ignore it.  ``cache=True`` installs the global
-:mod:`repro.engine` route cache as a convenience.
+baselines accept-and-ignore it.
 
 Every built-in algorithm exposes a frozen ``Config`` dataclass (e.g.
 :class:`~repro.core.nue.NueConfig`,
@@ -164,7 +163,6 @@ def make_algorithm(
     name: str,
     max_vls: int = 8,
     workers: Optional[int] = None,
-    cache: bool = False,
     **config: object,
 ) -> RoutingAlgorithm:
     """Instantiate routing algorithm ``name``, validated up front.
@@ -179,9 +177,6 @@ def make_algorithm(
     workers:
         Engine parallelism: ``None`` = run-wide default, ``0`` = all
         cores, ``N`` = at most N pool workers.
-    cache:
-        When True, install the global route memo cache
-        (:func:`repro.engine.enable_route_cache`) if not already on.
     config:
         Algorithm-specific keywords (e.g. Nue's ``partitioner`` or
         ``enable_backtracking``); unknown keys raise immediately.
@@ -193,11 +188,6 @@ def make_algorithm(
             f"unknown routing algorithm {name!r}; choose from "
             f"{available_algorithms()}"
         )
-    if cache:
-        from repro.engine import active_route_cache, enable_route_cache
-
-        if active_route_cache() is None:
-            enable_route_cache()
     if spec.config_cls is not None:
         cfg = build_config(name, **config)
         return spec.factory(

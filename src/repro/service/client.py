@@ -26,7 +26,11 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Any, Dict, Optional
 
 from repro.service import comm as comms
-from repro.service.protocol import ServiceClosed, wire_to_error
+from repro.service.protocol import (
+    ProtocolError,
+    ServiceClosed,
+    wire_to_error,
+)
 from repro.service.requests import (
     OPS,
     AnalyzeRequest,
@@ -98,8 +102,20 @@ class AsyncServiceClient:
         try:
             while True:
                 msg = await comm.recv()
-                fut = self._pending.pop(msg.get("id"), None) \
-                    if isinstance(msg, dict) else None
+                if not isinstance(msg, dict):
+                    continue
+                req_id = msg.get("id")
+                error = msg.get("error")
+                if req_id is None and isinstance(error, dict) \
+                        and error.get("type") == "protocol":
+                    # a connection-level refusal (the daemon could not
+                    # frame what it was sent and is closing): no call
+                    # will be answered.  An id-less ``bad_request`` is
+                    # one stray message on a healthy connection.
+                    self._fail_pending(wire_to_error(error))
+                    continue
+                fut = self._pending.pop(req_id, None) \
+                    if isinstance(req_id, int) else None
                 if fut is None or fut.done():
                     continue
                 if msg.get("ok"):
@@ -109,8 +125,11 @@ class AsyncServiceClient:
         except comms.CommClosedError as exc:
             self._fail_pending(ServiceClosed(
                 f"daemon at {self.address} closed the connection: {exc}"))
-        except asyncio.CancelledError:
-            raise
+        except ProtocolError as exc:
+            # framing is lost: every pending call fails now, typed,
+            # rather than waiting out its timeout on a dead reader
+            self._fail_pending(exc)
+            await comm.close()
 
     async def call(self, op: str, payload: Optional[Dict[str, Any]] = None,
                    timeout: float = DEFAULT_TIMEOUT_S) -> Any:

@@ -74,7 +74,14 @@ class Listener:
     #: the concrete bound address (ephemeral ports resolved)
     address: str = "?"
 
+    def close(self) -> None:
+        """Stop accepting; established connections stay up."""
+        raise NotImplementedError
+
     async def stop(self) -> None:
+        """:meth:`close`, then wait until the endpoint is released —
+        which, for a stream server on Python >= 3.12.1, means until
+        every accepted connection has ended: close those first."""
         raise NotImplementedError
 
 

@@ -31,18 +31,30 @@ the PR 6 telemetry plane:
   exposition snapshot so ``repro obs watch tcp://host:port`` renders a
   remote daemon exactly like a local status file.
 
-Requests execute on a small thread pool (``concurrency``); the actual
-parallelism lives in the fabric's process pool underneath, shared
-across requests.
+**One compute lane.**  Exactly one computation — an
+:data:`~repro.service.requests.OPS` executor body, preceded by its
+network admission — runs at a time, on one thread.  The event loop
+only frames, answers ``ping`` / ``status``, coalesces and applies
+backpressure; parse + fingerprint (``_prepare``) runs on asyncio's
+default executor, off the loop *and* off the lane, so a follower joins
+its in-flight leader and overflow is refused while the lane computes.
+Parallelism inside a request lives in the fabric's process pool
+(``workers``), which the lane thread alone drives — every piece of
+module-global engine state (route cache, fabric segment maps,
+auto-exports, a cached ``Network``'s lazy CSR fields) has that one
+writer.  A cache hit is a computation like any other and queues on
+the lane.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import signal
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import core as obs
@@ -50,6 +62,7 @@ from repro.obs import live
 from repro.obs.expo import snapshot as obs_snapshot
 from repro.service import comm as comms
 from repro.service.protocol import (
+    ProtocolError,
     ServiceAborted,
     ServiceBadRequest,
     ServiceOverloaded,
@@ -58,6 +71,11 @@ from repro.service.protocol import (
 from repro.service.requests import OPS
 
 __all__ = ["RoutingService", "serve_in_thread"]
+
+
+#: how long ``stop`` lets aborted requests write their typed answer
+#: before it closes the connections under them
+_STOP_FLUSH_S = 5.0
 
 
 def _count(name: str, value: float = 1) -> None:
@@ -76,20 +94,26 @@ class _NetworkCache:
     Forwarding tables are never held here: every executor copies its
     table out into the response and releases the segment before it
     returns, so ``/dev/shm`` usage is bounded by ``capacity`` network
-    exports plus the tables of the requests in flight.
+    exports plus the table of the request on the lane.  Touched from
+    the compute lane only (``__len__`` aside), so the fabric's export
+    maps keep a single writer.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
 
-    def admit(self, net: Any, fingerprint: str) -> None:
+    def admit(self, net: Any, fingerprint: str) -> Any:
+        """Pin ``net``'s export; returns the resident ``Network`` of
+        that fingerprint (the first one admitted), whose lazily built
+        fields every later request of the tenant then shares."""
         from repro.engine import fabric
 
-        if fingerprint in self._entries:
+        cached = self._entries.get(fingerprint)
+        if cached is not None:
             self._entries.move_to_end(fingerprint)
             _count("service.network_reuses")
-            return
+            return cached
         fabric.export_network(net, fingerprint=fingerprint)
         self._entries[fingerprint] = net
         _count("service.networks_admitted")
@@ -97,11 +121,6 @@ class _NetworkCache:
             old_fp, _net = self._entries.popitem(last=False)
             fabric.release_network(old_fp)
             _count("service.networks_evicted")
-
-    def get(self, fingerprint: str) -> Optional[Any]:
-        net = self._entries.get(fingerprint)
-        if net is not None:
-            self._entries.move_to_end(fingerprint)
         return net
 
     def drop_all(self, release: bool = True) -> None:
@@ -127,8 +146,6 @@ class RoutingService:
     max_pending:
         Bound on distinct in-flight computations; beyond it new work
         fails with :class:`ServiceOverloaded`.
-    concurrency:
-        Compute threads (each may drive a fabric fan-out underneath).
     workers:
         Default engine parallelism per request (request ``workers``
         wins; ``None`` = the run-wide default).
@@ -138,26 +155,19 @@ class RoutingService:
     """
 
     def __init__(self, max_networks: int = 8, max_pending: int = 32,
-                 concurrency: int = 2, workers: Optional[int] = None,
+                 workers: Optional[int] = None,
                  cache: bool = True) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
         self.max_pending = max_pending
         self.workers = workers
         self.cache = cache
-        #: what an op's executor takes beyond the request, ``workers``
-        #: and the prepared ``net``/``fingerprint``
-        self._executor_options: Dict[str, Dict[str, Any]] = {
-            "route": {"cache": cache},
-            "analyze": {"cache": cache},
-        }
         self._networks = _NetworkCache(max_networks)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, concurrency),
-            thread_name_prefix="repro-service")
+        #: the compute lane: one thread, one computation at a time
+        self._lane = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-service-lane")
+        self._stopping = False
         self._inflight: Dict[Tuple, "asyncio.Future[Any]"] = {}
         self._listeners: List[comms.Listener] = []
-        self._conn_tasks: "set[asyncio.Task]" = set()
+        self._conns: Dict["asyncio.Task", comms.Comm] = {}
         self._req_tasks: "set[asyncio.Task]" = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._unsubscribe: Optional[Callable[[], None]] = None
@@ -183,21 +193,37 @@ class RoutingService:
         return [listener.address for listener in self._listeners]
 
     async def stop(self) -> None:
-        """Stop listeners, abort in-flight work, release exports."""
+        """Stop listeners, fail in-flight work typed, release exports."""
+        self._stopping = True
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
+        # stop accepting now; wait for the listeners last — a stream
+        # server's wait_closed() outlasts every accepted connection
+        # (CPython >= 3.12.1), and those close further down
+        for listener in self._listeners:
+            listener.close()
+        self._abort_inflight("service stopping")
+        # every aborted request answers its caller before the
+        # connections go: a stop is a typed failure, not a bare close
+        if self._req_tasks:
+            await asyncio.wait(self._req_tasks, timeout=_STOP_FLUSH_S)
+        for task in list(self._req_tasks):
+            task.cancel()
+        # closing a comm ends its handler at recv(); a *cancelled*
+        # handler would make asyncio's stream server log a traceback
+        for comm in list(self._conns.values()):
+            await comm.close()
+        for task in list(self._req_tasks) + list(self._conns):
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
         for listener in self._listeners:
             await listener.stop()
         self._listeners.clear()
-        self._abort_inflight("service stopping")
-        for task in list(self._req_tasks) + list(self._conn_tasks):
-            task.cancel()
-        for task in list(self._req_tasks) + list(self._conn_tasks):
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
+        # a thread cannot be interrupted: the lane finishes the body it
+        # is in (its late result is discarded), queued ones are dropped
+        self._lane.shutdown(wait=True, cancel_futures=True)
         self._networks.drop_all(release=True)
-        self._executor.shutdown(wait=True, cancel_futures=True)
 
     @property
     def addresses(self) -> List[str]:
@@ -233,10 +259,14 @@ class RoutingService:
 
     def _abort_fabric_teardown(self) -> None:
         # the fabric force-unlinks every export itself; dropping the
-        # handles without release avoids double-unlink bookkeeping
-        self._networks.drop_all(release=False)
+        # handles without release avoids double-unlink bookkeeping.
+        # Queued on the lane like every other touch of the LRU: the
+        # jobs ahead of it are aborted first, so they skip admission
+        # (``_on_lane``) and the drop precedes the next one that admits.
         self._abort_inflight("fabric teardown (shutdown_fabric) "
                              "while the request was in flight")
+        if not self._stopping:
+            self._lane.submit(self._networks.drop_all, release=False)
 
     def _abort_inflight(self, reason: str) -> None:
         for fut in list(self._inflight.values()):
@@ -251,20 +281,31 @@ class RoutingService:
     async def _handle_comm(self, comm: comms.Comm) -> None:
         _count("service.connections")
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+        self._conns[task] = comm
         try:
+            if self._stopping:
+                # accepted just before ``stop`` closed the listeners,
+                # first scheduled after it closed the comms
+                return
             while True:
                 try:
                     msg = await comm.recv()
                 except comms.CommClosedError:
+                    break
+                except ProtocolError as exc:
+                    # framing is lost with the bad frame: answer typed,
+                    # then drop this connection and no other
+                    _count("service.protocol_errors")
+                    with contextlib.suppress(comms.CommClosedError):
+                        await comm.send({"id": None, "ok": False,
+                                         "error": error_to_wire(exc)})
                     break
                 req_task = asyncio.ensure_future(
                     self._handle_request(comm, msg))
                 self._req_tasks.add(req_task)
                 req_task.add_done_callback(self._req_tasks.discard)
         finally:
+            del self._conns[task]
             await comm.close()
 
     async def _handle_request(self, comm: comms.Comm, msg: Any) -> None:
@@ -314,12 +355,10 @@ class RoutingService:
                 f"ping")
         request_cls, _response_cls, executor = OPS[op]
         request = request_cls.from_dict(payload)
-        options = self._executor_options.get(op, {})
         response = await self._coalesced(
             op, request,
             lambda net, fp: executor(
-                request, workers=self.workers, net=net, fingerprint=fp,
-                **options))
+                request, workers=self.workers, net=net, fingerprint=fp))
         return response.to_dict(tables="binary")
 
     def _status(self) -> Dict[str, Any]:
@@ -333,20 +372,36 @@ class RoutingService:
     # -- coalesced compute ----------------------------------------------------
 
     def _prepare(self, request: Any) -> Tuple[Any, str]:
-        """Parse the wire topology and fingerprint it (executor-side:
-        parsing a large fabric must not stall the event loop)."""
+        """Parse the wire topology and fingerprint it.  Runs on
+        asyncio's default executor: parsing a large fabric must not
+        stall the event loop, and must not wait for the lane either —
+        the fingerprint is what lets a request join its in-flight
+        leader, or be refused, while the lane computes.  Touches
+        nothing but the request's own fresh ``Network``."""
         from repro.engine.fingerprint import network_fingerprint
 
         net = request.network()
         return net, network_fingerprint(net)
+
+    def _on_lane(self, fut: "asyncio.Future[Any]",
+                 compute: Callable[[Any, str], Any],
+                 net: Any, fp: str) -> Any:
+        """One computation, admission to response, on the lane thread.
+        A job aborted while it queued neither admits nor computes: its
+        callers are answered already, and an admission after a fabric
+        teardown would pin an export the queued ``drop_all`` forgets."""
+        if fut.done():
+            return None
+        return compute(self._networks.admit(net, fp), fp)
 
     async def _coalesced(
         self, op: str, request: Any,
         compute: Callable[[Any, str], Any],
     ) -> Any:
         loop = asyncio.get_running_loop()
-        net, fp = await loop.run_in_executor(
-            self._executor, self._prepare, request)
+        net, fp = await loop.run_in_executor(None, self._prepare, request)
+        if self._stopping:
+            raise ServiceAborted("service stopping")
 
         key = (op,) + request.coalesce_key(fp)
         fut = self._inflight.get(key)
@@ -360,32 +415,32 @@ class RoutingService:
                 f"{len(self._inflight)} computations in flight "
                 f"(max_pending={self.max_pending}); retry later")
 
+        # ``fut`` is what callers wait on and what an abort fails; the
+        # lane's own future only ever completes with the body's outcome
         fut = loop.create_future()
         self._inflight[key] = fut
         _gauge("service.inflight", len(self._inflight))
         _count("service.computations")
-        self._networks.admit(net, fp)
-        net = self._networks.get(fp) or net
-
-        async def runner() -> None:
-            try:
-                result = await loop.run_in_executor(
-                    self._executor, compute, net, fp)
-            except BaseException as exc:
-                if not fut.done():
-                    fut.set_exception(exc)
-            else:
-                if not fut.done():
-                    fut.set_result(result)
-            finally:
-                if self._inflight.get(key) is fut:
-                    del self._inflight[key]
-                _gauge("service.inflight", len(self._inflight))
-
-        runner_task = asyncio.ensure_future(runner())
-        self._req_tasks.add(runner_task)
-        runner_task.add_done_callback(self._req_tasks.discard)
+        job = loop.run_in_executor(self._lane, self._on_lane,
+                                   fut, compute, net, fp)
+        job.add_done_callback(lambda done: self._settle(key, fut, done))
         return await asyncio.shield(fut)
+
+    def _settle(self, key: Tuple, fut: "asyncio.Future[Any]",
+                job: "asyncio.Future[Any]") -> None:
+        """The lane finished (or ``stop`` dropped) ``key``'s body."""
+        if self._inflight.get(key) is fut:
+            del self._inflight[key]
+            _gauge("service.inflight", len(self._inflight))
+        if job.cancelled():
+            return
+        exc = job.exception()
+        if fut.done():  # aborted meanwhile: the late outcome is dropped
+            return
+        if exc is not None:
+            fut.set_exception(exc)
+        else:
+            fut.set_result(job.result())
 
 
 # -- embedded serving ---------------------------------------------------------
@@ -438,18 +493,26 @@ def _serve_forever(service: RoutingService,
                    addresses: List[str],
                    on_bound: Optional[Callable[[List[str]], None]] = None,
                    ) -> Awaitable[None]:
-    """Coroutine for the CLI: start, report, serve until cancelled."""
+    """Coroutine for the CLI: start, report, serve until SIGINT or
+    SIGTERM, then take the one clean path out (``service.stop()``)."""
 
     async def main() -> None:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        signums = (signal.SIGINT, signal.SIGTERM)
+        for signum in signums:
+            loop.add_signal_handler(signum, stop.set)
         bound = await service.start(addresses)
         if on_bound is not None:
             on_bound(bound)
         try:
-            while True:
-                await asyncio.sleep(3600)
-        except asyncio.CancelledError:
-            pass
+            await stop.wait()
         finally:
+            # the first signal asked for the clean path; a second one
+            # gets Python's default back (KeyboardInterrupt / death), so
+            # a stop stuck behind a long lane body can still be ended
+            for signum in signums:
+                loop.remove_signal_handler(signum)
             await service.stop()
 
     return main()

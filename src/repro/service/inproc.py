@@ -128,10 +128,13 @@ class InProcListener(Listener):
                 f"listener {self.address} did not accept in time")
         return server_box["comm"]
 
-    async def stop(self) -> None:
+    def close(self) -> None:
         self._stopped = True
         if _listeners.get(self.address) is self:
             del _listeners[self.address]
+
+    async def stop(self) -> None:
+        self.close()
 
 
 async def listen_(scheme: str, rest: str,

@@ -39,6 +39,7 @@ so ``ServiceClient.route`` raises the same ``RoutingError`` /
 from __future__ import annotations
 
 import json
+import re
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -120,7 +121,10 @@ class ServiceClosed(ServiceError):
 
 
 class ProtocolError(ServiceError):
-    """A frame violated the wire format (bad codec byte, oversize)."""
+    """A frame violated the wire format: bad codec byte, oversize or
+    truncated, undecodable payload, bad array placeholder.  The only
+    exception :func:`decode_header`, :func:`decode_frame` and
+    ``Codec.loads`` raise, whatever bytes they are given."""
 
     code = "protocol"
 
@@ -149,7 +153,12 @@ def _json_dumps(msg: Any) -> bytes:
 
 
 def _json_loads(data: bytes) -> Any:
-    return json.loads(data.decode("utf-8"))
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON/nesting
+        raise ProtocolError(
+            f"undecodable JSON payload: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 _JSON = Codec("json", b"J", _json_dumps, _json_loads)
@@ -196,12 +205,34 @@ def _restore_ndarrays(obj: Any, buffers: List[bytes]) -> Any:
                 raise ProtocolError(
                     f"binary frame references buffer {index}, "
                     f"have {len(buffers)}")
-            arr = np.frombuffer(buffers[index], dtype=np.dtype(obj["dtype"]))
-            return arr.reshape([int(s) for s in obj["shape"]])
+            return _restore_one(buffers[index], obj["dtype"], obj["shape"])
         return {k: _restore_ndarrays(v, buffers) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_restore_ndarrays(v, buffers) for v in obj]
     return obj
+
+
+#: the dtypes a placeholder may name: fixed-size numeric, spelled the
+#: way :func:`_extract_ndarrays` writes them (``dtype.str``, little
+#: endian).  Checked before numpy sees the text: ``np.dtype`` hands
+#: other strings to the Python parser, which can raise anything
+_DTYPE_STR = re.compile(r"[<|][biufc]\d{1,2}")
+
+
+def _restore_one(buf: bytes, dtype: Any, shape: Any) -> np.ndarray:
+    if not isinstance(dtype, str) or not _DTYPE_STR.fullmatch(dtype) \
+            or not isinstance(shape, list):
+        raise ProtocolError(
+            f"binary frame placeholder needs a numeric dtype string "
+            f"and a shape list, got dtype={dtype!r} shape={shape!r}")
+    try:
+        return np.frombuffer(buf, dtype=np.dtype(dtype)).reshape(
+            [int(s) for s in shape])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(
+            f"binary frame placeholder dtype={dtype!r} shape={shape!r} "
+            f"does not describe its {len(buf)}-byte buffer: {exc}"
+        ) from exc
 
 
 def _has_ndarray(obj: Any) -> bool:
@@ -251,7 +282,11 @@ def _binary_loads(payload: bytes) -> Any:
                 f"payload")
         buffers.append(payload[offset:offset + length])
         offset += length
-    return _restore_ndarrays(_JSON.loads(payload[offset:]), buffers)
+    try:
+        return _restore_ndarrays(_JSON.loads(payload[offset:]), buffers)
+    except RecursionError as exc:
+        raise ProtocolError(
+            "binary frame message nests too deeply") from exc
 
 
 _BINARY = Codec("binary", b"B", _binary_dumps, _binary_loads)

@@ -469,11 +469,10 @@ class TransitionResponse(WireMessage):
 # -- shared executors ---------------------------------------------------------
 #
 # The single implementation both call paths use.  The daemon invokes
-# these from its compute executor; the facade invokes them directly.
+# these on its compute lane; the facade invokes them directly.
 
 def execute_route(request: RouteRequest, *,
                   workers: Optional[int] = None,
-                  cache: bool = False,
                   net: Optional[Network] = None,
                   fingerprint: Optional[str] = None) -> RouteResponse:
     """Run one :class:`RouteRequest` in this process."""
@@ -487,7 +486,6 @@ def execute_route(request: RouteRequest, *,
         request.algorithm,
         max_vls=request.max_vls,
         workers=request.workers if request.workers is not None else workers,
-        cache=cache,
         **request.config,
     )
     result = algo.route(net, dests=request.dests, seed=request.seed)
@@ -498,7 +496,6 @@ def execute_route(request: RouteRequest, *,
 
 def execute_analyze(request: AnalyzeRequest, *,
                     workers: Optional[int] = None,
-                    cache: bool = False,
                     net: Optional[Network] = None,
                     fingerprint: Optional[str] = None) -> AnalyzeResponse:
     """Route then report the ``repro analyze`` metric set."""
@@ -507,7 +504,7 @@ def execute_analyze(request: AnalyzeRequest, *,
 
     if net is None:
         net = request.route.network()
-    response = execute_route(request.route, workers=workers, cache=cache,
+    response = execute_route(request.route, workers=workers,
                              net=net, fingerprint=fingerprint)
     result = response.result(net)
     eff_workers = request.route.workers \

@@ -59,8 +59,9 @@ class StreamComm(Comm):
         return codec.loads(payload)
 
     async def close(self) -> None:
-        if self._closed:
-            return
+        # no early return on ``_closed``: a recv()/send() that met EOF
+        # sets it without releasing the transport, which the server's
+        # wait_closed() then waits for (both calls below are idempotent)
         self._closed = True
         try:
             self._writer.close()
@@ -81,6 +82,9 @@ class StreamListener(Listener):
         self._server = server
         self.address = address
         self._unix_path = unix_path
+
+    def close(self) -> None:
+        self._server.close()
 
     async def stop(self) -> None:
         self._server.close()

@@ -54,8 +54,7 @@ class TestCoalescing:
         request = RouteRequest(topology=net, algorithm="svc-blocker",
                                max_vls=2, seed=7)
 
-        with serve_in_thread(["inproc://svc-coalesce"],
-                             concurrency=2) as (service, bound):
+        with serve_in_thread(["inproc://svc-coalesce"]) as (service, bound):
             async def scenario():
                 async with AsyncServiceClient(bound[0]) as client:
                     tasks = [asyncio.ensure_future(client.route(request))
@@ -94,8 +93,8 @@ class TestCoalescing:
         variant = RouteRequest(topology=net, algorithm="svc-blocker",
                                max_vls=2, seed=7, workers=1)
 
-        with serve_in_thread(["inproc://svc-workers"],
-                             concurrency=2) as (_service, bound):
+        with serve_in_thread(["inproc://svc-workers"]) \
+                as (_service, bound):
             async def scenario():
                 async with AsyncServiceClient(bound[0]) as client:
                     a = asyncio.ensure_future(client.route(base))
@@ -122,8 +121,8 @@ class TestBackpressure:
         second = RouteRequest(topology=net, algorithm="svc-blocker",
                               max_vls=2, seed=2)  # distinct identity
 
-        with serve_in_thread(["inproc://svc-overload"], max_pending=1,
-                             concurrency=2) as (service, bound):
+        with serve_in_thread(["inproc://svc-overload"],
+                             max_pending=1) as (service, bound):
             async def scenario():
                 async with AsyncServiceClient(bound[0]) as client:
                     inflight = asyncio.ensure_future(client.route(first))

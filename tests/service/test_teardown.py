@@ -31,8 +31,7 @@ class TestFabricTeardownMidFlight:
         followup = RouteRequest(topology=net, algorithm="updn",
                                 max_vls=1, seed=3)
 
-        with serve_in_thread(["inproc://svc-teardown"],
-                             concurrency=2) as (service, bound):
+        with serve_in_thread(["inproc://svc-teardown"]) as (service, bound):
             async def scenario():
                 loop = asyncio.get_running_loop()
                 async with AsyncServiceClient(bound[0]) as client:
@@ -74,8 +73,8 @@ class TestFabricTeardownMidFlight:
                                max_vls=2, seed=4)
         n_waiters = 3
 
-        with serve_in_thread(["inproc://svc-teardown-co"],
-                             concurrency=2) as (_service, bound):
+        with serve_in_thread(["inproc://svc-teardown-co"]) \
+                as (_service, bound):
             async def scenario():
                 loop = asyncio.get_running_loop()
                 async with AsyncServiceClient(bound[0]) as client:

@@ -11,14 +11,16 @@ import re
 from repro.engine import fabric
 
 
-def shm_leaks():
-    """Fabric segments this process created that are still present in
-    /dev/shm (empty when healthy).  Only the creator ever unlinks and
-    every segment name ends in the creator's pid, so the check holds
-    under pytest-xdist, where sibling workers own segments too."""
+def shm_leaks(pid=None):
+    """Fabric segments process ``pid`` (default: this one) created that
+    are still present in /dev/shm (empty when healthy).  Only the
+    creator ever unlinks and every segment name ends in the creator's
+    pid, so the check holds under pytest-xdist, where sibling workers
+    own segments too."""
     shm_dir = "/dev/shm"
     if not os.path.isdir(shm_dir):  # non-POSIX platform: nothing to check
         return []
+    owner = pid or os.getpid()
     mine = re.compile(
-        rf"{re.escape(fabric.SEGMENT_PREFIX)}.*_{os.getpid():x}(_\d+)?$")
+        rf"{re.escape(fabric.SEGMENT_PREFIX)}.*_{owner:x}(_\d+)?$")
     return sorted(name for name in os.listdir(shm_dir) if mine.match(name))

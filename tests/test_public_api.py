@@ -118,8 +118,8 @@ API_SURFACE = {
         "max_attempts: 'int' = 100) -> 'FaultResult'",
     'is_deadlock_free': "(result: 'RoutingResult', sources: 'Optional[Sequence[int]]' = None) -> "
         "'bool'",
-    'make_algorithm': "(name: 'str', max_vls: 'int' = 8, workers: 'Optional[int]' = None, cache: "
-        "'bool' = False, **config: 'object') -> 'RoutingAlgorithm'",
+    'make_algorithm': "(name: 'str', max_vls: 'int' = 8, workers: 'Optional[int]' = None, "
+        "**config: 'object') -> 'RoutingAlgorithm'",
     'path_length_stats': "(result: 'RoutingResult', sources: 'Optional[Sequence[int]]' = None, "
         "workers: 'Optional[int]' = None) -> 'PathLengthStats'",
     'plan_transition': "(old: 'RoutingResult', new: 'RoutingResult', *, strategy: 'str' = 'auto') "
@@ -175,7 +175,7 @@ TOP_LEVEL_SURFACE = {
                         "-> 'bool'",
     "make_algorithm": "(name: 'str', max_vls: 'int' = 8, "
                       "workers: 'Optional[int]' = None, "
-                      "cache: 'bool' = False, **config: 'object') "
+                      "**config: 'object') "
                       "-> 'RoutingAlgorithm'",
     "obs": "module",
     "path_length_stats": "(result: 'RoutingResult', "
