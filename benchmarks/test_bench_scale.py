@@ -107,7 +107,6 @@ def _run_stage(dims, n_dests, workers):
     whatever pytest already mapped.
     """
     env = dict(os.environ)
-    env.pop("REPRO_WORKERS", None)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     args = json.dumps([list(dims), n_dests, workers, SEED])

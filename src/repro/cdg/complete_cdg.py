@@ -50,7 +50,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.network.graph import Network
+from repro.utils.dag import kahn_residue
 from repro.utils.unionfind import UnionFind
 
 __all__ = ["CompleteCDG", "UNUSED", "USED", "BLOCKED", "RETIRED"]
@@ -462,29 +465,17 @@ class CompleteCDG:
     # -- verification ----------------------------------------------------------
 
     def assert_acyclic(self) -> None:
-        """Kahn's algorithm over the used edges; raises on a cycle.
+        """The shared Kahn check over the used edges; raises on a cycle.
 
         Exact full check used by tests and the validation layer; the
         incremental machinery above never lets a cycle appear, so this
         should always pass.
         """
-        indeg: Dict[int, int] = {}
-        vertices = set()
-        for cp, cq in self.used_edges():
-            vertices.add(cp)
-            vertices.add(cq)
-            indeg[cq] = indeg.get(cq, 0) + 1
-        queue = [v for v in vertices if indeg.get(v, 0) == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for w in self.used_out_edges(v):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(vertices):
+        used = np.flatnonzero(
+            np.frombuffer(self._state, dtype=np.uint8) == 1)
+        stuck = kahn_residue(self.csr.dep_src[used], self.csr.dep_dst[used])
+        if stuck:
             raise AssertionError(
-                f"used CDG contains a cycle ({len(vertices) - seen} vertices"
+                f"used CDG contains a cycle ({stuck} vertices"
                 " on cycles)"
             )

@@ -212,14 +212,19 @@ def _route_campaign(net, args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     net = load_topology(args.topology)
     result = load_routing(net, args.tables)
-    deadlock = DeadlockAnalysis(result)
-    dl_free = deadlock.deadlock_free
-    g = gamma_summary(result, workers=args.workers)
-    p = path_length_stats(result, workers=args.workers)
+    try:
+        deadlock = DeadlockAnalysis(result)
+        dl_free = deadlock.deadlock_free
+        required = deadlock.required_vcs()
+        g = gamma_summary(result, workers=args.workers)
+        p = path_length_stats(result, workers=args.workers)
+    except RoutingError as exc:  # a hole or a forwarding loop
+        print(f"invalid tables: {exc}", file=sys.stderr)
+        return 1
     print(f"algorithm:        {result.algorithm}")
     print(f"virtual lanes:    {result.n_vls}")
     print(f"deadlock-free:    {dl_free}")
-    print(f"required VCs:     {deadlock.required_vcs()}")
+    print(f"required VCs:     {required}")
     print(f"gamma (min/avg/max/sd): {g.minimum:.0f} / {g.average:.1f} "
           f"/ {g.maximum:.0f} / {g.stddev:.1f}")
     print(f"path length (min/avg/max): {p.minimum} / {p.average:.2f} "

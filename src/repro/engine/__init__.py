@@ -25,7 +25,6 @@ from repro.engine.cache import (
     route_cache_key,
 )
 from repro.engine.core import (
-    WORKERS_ENV_VAR,
     get_default_workers,
     resolve_workers,
     run_layer_tasks,
@@ -48,7 +47,6 @@ __all__ = [
     "worker_budget",
     "set_default_workers",
     "get_default_workers",
-    "WORKERS_ENV_VAR",
     "RouteCache",
     "enable_route_cache",
     "disable_route_cache",

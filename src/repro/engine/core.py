@@ -66,11 +66,6 @@ __all__ = [
 #: CLI so one flag parallelises every routing of a run.
 _default_workers: int = 1
 
-#: environment override consulted between the explicit argument and the
-#: module default (precedence: arg > ``REPRO_WORKERS`` > default), so
-#: CI and campaign scripts can pin worker counts without code changes.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
 
 def set_default_workers(n: int) -> None:
     """Set the run-wide default worker count (``workers=None`` callers)."""
@@ -85,35 +80,16 @@ def get_default_workers() -> int:
     return _default_workers
 
 
-def _workers_from_env() -> Optional[int]:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"repro.engine: ignoring non-integer {WORKERS_ENV_VAR}={raw!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-
-
 def worker_budget(workers: Optional[int]) -> int:
     """The configured parallelism budget, before task-count clamping.
 
-    ``None`` defers to the :data:`WORKERS_ENV_VAR` environment variable
-    when set (non-integer values warn and are ignored), then to
-    :func:`get_default_workers`; ``0`` means "all cores".  This is the
-    number the persistent fabric pool is sized by — deliberately *not*
-    clamped to any task count, so stages with fewer tasks than workers
-    (a 2-layer route under ``--workers 4``, a transition's small old
-    state next to its larger target) reuse one pool instead of
-    discarding and respawning it per stage.
+    ``None`` defers to :func:`get_default_workers`; ``0`` means "all
+    cores".  This is the number the persistent fabric pool is sized by
+    — deliberately *not* clamped to any task count, so stages with
+    fewer tasks than workers (a 2-layer route under ``--workers 4``, a
+    transition's small old state next to its larger target) reuse one
+    pool instead of discarding and respawning it per stage.
     """
-    if workers is None:
-        workers = _workers_from_env()
     if workers is None:
         workers = _default_workers
     if workers == 0:

@@ -15,9 +15,10 @@ channel cannot sit on a cycle (the only dependency into it would be a
 180-degree turn, excluded by Def. 6).
 
 :class:`DeadlockAnalysis` lifts the graph once, as integer arrays, and
-answers every question from that one lift: the verdict by an array
-Kahn peel, the VC requirement, and — only when a cycle exists — the
-dict form and :func:`find_vc_cycle`'s witness.
+answers every question from that one lift: the verdict by the
+library's one Kahn peel (:func:`repro.utils.dag.kahn_residue`), the VC
+requirement, and — only when a cycle exists — the dict form and
+:func:`find_vc_cycle`'s witness.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.routing.walk import (
     vc_dependencies,
     vc_nodes,
 )
+from repro.utils.dag import kahn_residue
 
 __all__ = [
     "induced_vc_dependencies",
@@ -49,35 +51,6 @@ VCNode = Tuple[int, int]  # (channel id, virtual layer)
 def _as_tuples(keys: np.ndarray) -> List[VCNode]:
     channel, vl = vc_nodes(keys)
     return list(zip(channel.tolist(), vl.tolist()))
-
-
-def _acyclic(vertices: np.ndarray, tails: np.ndarray,
-             heads: np.ndarray) -> bool:
-    """Kahn peel over edge arrays: is ``tails[i] -> heads[i]`` a DAG?
-
-    The edges are packed into a successor CSR with numpy; the peel
-    itself pops one vertex at a time (dependency graphs of tori are
-    hundreds of levels deep and a few vertices wide, so a
-    level-at-a-time array peel pays numpy's dispatch per level and
-    loses to this loop's ~0.1 us per edge).
-    """
-    ids = np.sort(vertices)
-    tail, head = np.searchsorted(ids, tails), np.searchsorted(ids, heads)
-    succ = head[np.argsort(tail, kind="stable")].tolist()
-    ptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(tail, minlength=ids.size)))).tolist()
-    indeg = np.bincount(head, minlength=ids.size)
-    ready = np.flatnonzero(indeg == 0).tolist()
-    indeg = indeg.tolist()
-    peeled = 0
-    while ready:
-        v = ready.pop()
-        peeled += 1
-        for w in succ[ptr[v]:ptr[v + 1]]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return peeled == ids.size
 
 
 class DeadlockAnalysis:
@@ -99,7 +72,7 @@ class DeadlockAnalysis:
     @cached_property
     def deadlock_free(self) -> bool:
         """Theorem 1 verdict: the lifted graph is acyclic."""
-        return _acyclic(self.vertices, self.tails, self.heads)
+        return kahn_residue(self.tails, self.heads) == 0
 
     def adjacency(self) -> Dict[VCNode, Set[VCNode]]:
         """The graph as ``{(channel, vl): {(channel, vl), ...}}``."""
@@ -232,16 +205,19 @@ def explicit_paths_deadlock_free(net, paths_and_vls) -> bool:
     lane per pair).  Terminal channels are excluded as always.
     """
     inter_switch = switch_channel_mask(net).tolist()
-    adj: Dict[VCNode, Set[VCNode]] = {}
+    ids: Dict[VCNode, int] = {}
+    tails: List[int] = []
+    heads: List[int] = []
     for path, vl in paths_and_vls:
-        prev: Optional[VCNode] = None
+        prev: Optional[int] = None
         for c in path:
             if inter_switch[c]:
-                node = (c, vl)
-                adj.setdefault(node, set())
+                node = ids.setdefault((c, vl), len(ids))
                 if prev is not None:
-                    adj[prev].add(node)
+                    tails.append(prev)
+                    heads.append(node)
                 prev = node
             else:
                 prev = None
-    return find_vc_cycle(adj) is None
+    return kahn_residue(np.array(tails, dtype=np.int64),
+                        np.array(heads, dtype=np.int64)) == 0

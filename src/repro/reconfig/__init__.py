@@ -19,7 +19,6 @@ from repro.reconfig.compat import (
     TransitionNotApplicable,
     UnionCDG,
     check_compatibility,
-    edges_acyclic,
 )
 from repro.reconfig.scheduler import (
     MigrationPlan,
@@ -44,7 +43,6 @@ __all__ = [
     "TransitionNotApplicable",
     "UnionCDG",
     "check_compatibility",
-    "edges_acyclic",
     "MigrationPlan",
     "TransitionIncompatible",
     "TransitionStep",

@@ -29,12 +29,16 @@ shared CSR structure (:class:`repro.network.csr.CSRView`):
   swap order is safe and the zero-drain schedule is trivial; when it
   is not, a compatible order may still exist (the scheduler searches
   for one) but cannot be guaranteed.
+
+Verdicts on a whole edge-id set (the report, the scheduler's target
+check, ``verify_plan``) are the library's one Kahn check,
+:func:`repro.utils.dag.kahn_residue`, via :func:`edge_ids_acyclic`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from repro.cdg.complete_cdg import CompleteCDG
 from repro.network.graph import Network
 from repro.obs import core as obs
 from repro.routing.base import RoutingResult
+from repro.utils.dag import kahn_residue
 
 __all__ = [
     "TransitionNotApplicable",
@@ -50,7 +55,6 @@ __all__ = [
     "LayerCompat",
     "CompatibilityReport",
     "check_compatibility",
-    "edges_acyclic",
 ]
 
 
@@ -134,6 +138,23 @@ def _column_edge_ids(
     return np.unique(eids)
 
 
+def union_by_layer(
+    n_layers: int, columns: Iterable[Tuple[int, np.ndarray]]
+) -> List[np.ndarray]:
+    """Per layer, the sorted union of ``(layer, edge ids)`` columns."""
+    parts: List[List[np.ndarray]] = [[] for _ in range(n_layers)]
+    for layer, eids in columns:
+        parts[layer].append(eids)
+    return [np.unique(np.concatenate(p)) if p
+            else np.empty(0, dtype=np.int64) for p in parts]
+
+
+def edge_ids_acyclic(net: Network, eids: np.ndarray) -> bool:
+    """The one Kahn verdict on a set of Def.-6 edge ids."""
+    csr = net.csr
+    return kahn_residue(csr.dep_src[eids], csr.dep_dst[eids]) == 0
+
+
 class InducedEdges:
     """Per-destination induced complete-CDG edge sets of one routing.
 
@@ -174,6 +195,11 @@ class InducedEdges:
         self.n_layers = max(
             [result.n_vls] + [layer + 1 for layer in self.layer_of.values()]
         )
+
+    def by_layer(self, n_layers: int) -> List[np.ndarray]:
+        """Per layer, the sorted edge ids all columns together induce."""
+        return union_by_layer(n_layers, (
+            (self.layer_of[d], eids) for d, eids in self.edges_of.items()))
 
 
 class UnionCDG:
@@ -223,21 +249,6 @@ class UnionCDG:
             refs[eid] = refs.get(eid, 0) + 1
         return True
 
-    def force_add(self, layer: int, eids: Sequence[int]) -> None:
-        """Overlay without the cycle guard (for union *testing* only).
-
-        Used by :func:`check_compatibility` to materialise a possibly
-        cyclic union and then ask the full checker for the verdict.
-        """
-        cdg = self._cdgs[layer]
-        refs = self._refs[layer]
-        src, dst = cdg.csr.dep_src_l, cdg.csr.dep_dst_l
-        for eid in eids:
-            eid = int(eid)
-            if refs.get(eid, 0) == 0:
-                cdg._mark_used(src[eid], dst[eid])
-            refs[eid] = refs.get(eid, 0) + 1
-
     def remove(self, layer: int, eids: Sequence[int]) -> None:
         """Drop one column's contribution (always acyclicity-safe)."""
         cdg = self._cdgs[layer]
@@ -264,46 +275,8 @@ class UnionCDG:
             proofs += 1
         return proofs
 
-    def is_acyclic(self, layer: int) -> bool:
-        """Checker verdict as a boolean (compatibility reporting)."""
-        try:
-            self._cdgs[layer].assert_acyclic()
-        except AssertionError:
-            return False
-        return True
-
     def edge_count(self, layer: int) -> int:
         return self._cdgs[layer].n_used_edges
-
-
-def edges_acyclic(net: Network, eids: Sequence[int]) -> bool:
-    """Kahn verdict on one flat edge-id set (independent re-check).
-
-    This deliberately does *not* share code with
-    :class:`~repro.cdg.complete_cdg.CompleteCDG` — the test suite uses
-    it to re-prove the scheduler's intermediate states with a second
-    implementation.
-    """
-    src, dst = net.csr.dep_src_l, net.csr.dep_dst_l
-    out: Dict[int, List[int]] = {}
-    indeg: Dict[int, int] = {}
-    nodes = set()
-    for eid in set(int(e) for e in eids):
-        cp, cq = src[eid], dst[eid]
-        out.setdefault(cp, []).append(cq)
-        indeg[cq] = indeg.get(cq, 0) + 1
-        nodes.add(cp)
-        nodes.add(cq)
-    queue = [v for v in nodes if indeg.get(v, 0) == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out.get(v, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(nodes)
 
 
 @dataclass(frozen=True)
@@ -362,33 +335,28 @@ def check_compatibility(
             "old and new routings must share one network id space; "
             "translate the old tables into the target network first"
         )
+    return union_report(InducedEdges(old), InducedEdges(new))
+
+
+def union_report(old_edges: InducedEdges,
+                 new_edges: InducedEdges) -> CompatibilityReport:
+    """:func:`check_compatibility` over two already-lifted routings."""
+    net = new_edges.net
+    n_layers = max(old_edges.n_layers, new_edges.n_layers)
     with obs.span("reconfig.check"):
-        old_edges = InducedEdges(old)
-        new_edges = InducedEdges(new)
-        n_layers = max(old_edges.n_layers, new_edges.n_layers)
-        union = UnionCDG(new.net, n_layers)
         layers = []
-        compatible = True
-        for layer in range(n_layers):
-            old_set: set = set()
-            for d, eids in old_edges.edges_of.items():
-                if old_edges.layer_of[d] == layer:
-                    old_set.update(int(e) for e in eids)
-            new_set: set = set()
-            for d, eids in new_edges.edges_of.items():
-                if new_edges.layer_of[d] == layer:
-                    new_set.update(int(e) for e in eids)
-            union.force_add(layer, sorted(old_set | new_set))
-            acyclic = union.is_acyclic(layer)
-            compatible = compatible and acyclic
+        for layer, (old_ids, new_ids) in enumerate(zip(
+                old_edges.by_layer(n_layers), new_edges.by_layer(n_layers))):
+            union = np.union1d(old_ids, new_ids)
             layers.append(LayerCompat(
                 layer=layer,
-                old_edges=len(old_set),
-                new_edges=len(new_set),
-                union_edges=len(old_set | new_set),
-                acyclic=acyclic,
+                old_edges=int(old_ids.size),
+                new_edges=int(new_ids.size),
+                union_edges=int(union.size),
+                acyclic=edge_ids_acyclic(net, union),
             ))
         if obs.enabled():
             obs.count("reconfig.checks")
-        return CompatibilityReport(compatible=compatible,
-                                   layers=tuple(layers))
+        return CompatibilityReport(
+            compatible=all(layer.acyclic for layer in layers),
+            layers=tuple(layers))

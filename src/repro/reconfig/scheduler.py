@@ -27,8 +27,8 @@ per-step proof count is recorded on the plan.  The final state is the
 new routing's columns verbatim, so the post-transition tables are
 bit-identical to routing the target network from scratch —
 :func:`apply_plan` reconstructs any intermediate mixed table and
-:func:`verify_plan` re-proves the whole sequence with an independent
-Kahn implementation.
+:func:`verify_plan` re-proves the whole sequence from an edge
+accounting of its own (tables and plan only, no scheduler state).
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from repro.reconfig.compat import (
     CompatibilityReport,
     InducedEdges,
     UnionCDG,
-    check_compatibility,
-    edges_acyclic,
+    edge_ids_acyclic,
+    union_by_layer,
+    union_report,
 )
 from repro.routing.base import RoutingResult
 
@@ -188,7 +189,7 @@ def _plan_locked(old: RoutingResult, new: RoutingResult,
     old_edges = InducedEdges(old)
     new_edges = InducedEdges(new)
     n_layers = max(old_edges.n_layers, new_edges.n_layers)
-    report = check_compatibility(old, new)
+    report = union_report(old_edges, new_edges)
 
     state = UnionCDG(new.net, n_layers)
     for d in old.dests:
@@ -198,14 +199,12 @@ def _plan_locked(old: RoutingResult, new: RoutingResult,
                 "the old routing is not deadlock-free; refusing to plan "
                 "a transition from a broken state"
             )
-    target = UnionCDG(new.net, n_layers)
-    for d in new.dests:
-        if not target.add_if_acyclic(new_edges.layer_of[d],
-                                     new_edges.edges_of[d]):
-            raise ValueError(
-                "the target routing is not deadlock-free; no swap order "
-                "can make the transition safe"
-            )
+    if not all(edge_ids_acyclic(new.net, eids)
+               for eids in new_edges.by_layer(n_layers)):
+        raise ValueError(
+            "the target routing is not deadlock-free; no swap order "
+            "can make the transition safe"
+        )
 
     plan = MigrationPlan(compatible=report.compatible, report=report)
     new_set = set(new.dests)
@@ -355,13 +354,14 @@ def verify_plan(
 ) -> int:
     """Independently re-prove every intermediate union-CDG of a plan.
 
-    Replays the schedule with a from-scratch edge accounting and a
-    second (Kahn) acyclicity implementation: after every step — and
-    *during* every swap, with the swapped destination's old and new
-    dependencies simultaneously live — each layer's union edge set must
-    be acyclic.  Returns the number of states checked; raises
-    ``AssertionError`` on any violation or if the final assignment is
-    not exactly the new routing.
+    Replays the schedule with a from-scratch edge accounting — built
+    from the two tables and the plan, never from scheduler state — and
+    the library's one Kahn check: after every step — and *during* every
+    swap, with the swapped destination's old and new dependencies
+    simultaneously live — each layer's union edge set must be acyclic.
+    Returns the number of states checked; raises ``AssertionError`` on
+    any violation or if the final assignment is not exactly the new
+    routing.
     """
     _require_same_space(old, new)
     old_edges = InducedEdges(old)
@@ -369,21 +369,20 @@ def verify_plan(
     n_layers = max(old_edges.n_layers, new_edges.n_layers)
     net = new.net
 
-    def layer_sets(assignment: Dict[int, str],
-                   extra: Sequence[Tuple[int, int]] = ()) -> List[set]:
-        sets: List[set] = [set() for _ in range(n_layers)]
-        for d, which in assignment.items():
-            edges = new_edges if which == "new" else old_edges
-            sets[edges.layer_of[d]].update(
-                int(e) for e in edges.edges_of[d])
-        for layer, eid in extra:
-            sets[layer].add(eid)
-        return sets
+    def column(d: int, which: str) -> Tuple[int, np.ndarray]:
+        edges = new_edges if which == "new" else old_edges
+        return edges.layer_of[d], edges.edges_of[d]
 
-    def check(assignment: Dict[int, str], label: str) -> None:
-        for layer, eids in enumerate(layer_sets(assignment)):
-            assert edges_acyclic(net, eids), (
-                f"{label}: union CDG of layer {layer} is cyclic")
+    def check(assignment: Dict[int, str], label: str,
+              arriving: Sequence[int] = ()) -> None:
+        """Assert every layer acyclic under ``assignment``, with the
+        new columns of ``arriving`` live on top (a swap's transient)."""
+        columns = [column(d, which) for d, which in assignment.items()]
+        columns += [column(d, "new") for d in arriving]
+        what = "transient union CDG" if arriving else "union CDG"
+        for layer, eids in enumerate(union_by_layer(n_layers, columns)):
+            assert edge_ids_acyclic(net, eids), (
+                f"{label}: {what} of layer {layer} is cyclic")
 
     assignment: Dict[int, str] = {d: "old" for d in old.dests}
     states = 0
@@ -398,17 +397,10 @@ def verify_plan(
             # simultaneously live while in-flight packets drain
             transient = dict(assignment)
             for d in step.dests:
-                transient[d] = "old" if d in assignment else "new"
-            both: List[set] = [set() for _ in range(n_layers)]
-            for layer, eids in enumerate(layer_sets(transient)):
-                both[layer] |= eids
-            for d in step.dests:
-                both[new_edges.layer_of[d]].update(
-                    int(e) for e in new_edges.edges_of[d])
-            for layer, eids in enumerate(both):
-                assert edges_acyclic(net, eids), (
-                    f"step {i} (swap {step.dests}): transient union CDG "
-                    f"of layer {layer} is cyclic")
+                if d in assignment:
+                    transient[d] = "old"
+            check(transient, f"step {i} (swap {step.dests})",
+                  arriving=step.dests)
             states += 1
             for d in step.dests:
                 assignment[d] = "new"

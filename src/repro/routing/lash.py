@@ -14,23 +14,72 @@ large tori.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.cdg.complete_cdg import CompleteCDG
 from repro.network.graph import Network
 from repro.obs import core as obs
 from repro.routing.base import RoutingAlgorithm, RoutingError, RoutingResult
-from repro.routing.layering import GreedyLayerAssigner
+from repro.routing.layering import path_dependencies
 from repro.routing.sssp import bfs_tree_balanced
 from repro.utils.prng import SeedLike
 
-__all__ = ["LASHRouting", "LASHConfig"]
+__all__ = ["LASHRouting", "LASHConfig", "GreedyLayerAssigner"]
 
 
 @dataclass(frozen=True)
 class LASHConfig:
     """``lash`` takes no extra configuration."""
+
+
+class GreedyLayerAssigner:
+    """First-fit layer assignment with exact acyclicity what-ifs (LASH).
+
+    Each layer is backed by a :class:`CompleteCDG`, whose incremental
+    machinery answers "does this path fit?" in near-linear time; failed
+    insertions are rolled back exactly (including the blocked marker).
+    """
+
+    def __init__(self, net: Network) -> None:
+        self.net = net
+        self.layers: List[CompleteCDG] = []
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
+
+    def _fits(self, layer: CompleteCDG, deps: List[Tuple[int, int]]) -> bool:
+        added: List[Tuple[int, int]] = []
+        for cp, cq in deps:
+            state_before = layer.edge_state(cp, cq)
+            if layer.try_use_edge(cp, cq):
+                if state_before != 1:  # newly used: remember for rollback
+                    added.append((cp, cq))
+            else:
+                for a, b in reversed(added):
+                    layer.unuse_edge(a, b)
+                layer.unblock_edge(cp, cq)
+                return False
+        return True
+
+    def assign(self, path: Sequence[int]) -> int:
+        """Place ``path`` into a layer; returns the layer index.
+
+        Opens a new layer when no existing one fits (a single path
+        always fits an empty layer because its own dependency chain is
+        acyclic — paths are cycle-free).
+        """
+        deps = path_dependencies(self.net, path)
+        for i, layer in enumerate(self.layers):
+            if self._fits(layer, deps):
+                return i
+        layer = CompleteCDG(self.net)
+        self.layers.append(layer)
+        if not self._fits(layer, deps):
+            raise AssertionError("cycle-free path must fit an empty layer")
+        return len(self.layers) - 1
 
 
 class LASHRouting(RoutingAlgorithm):

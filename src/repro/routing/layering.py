@@ -3,9 +3,10 @@
 Two strategies from the literature, both operating on the channel
 dependency pairs of already-computed paths:
 
-* :class:`GreedyLayerAssigner` — LASH's scheme: place each path into
-  the first existing layer whose induced CDG stays acyclic, opening a
-  new layer when none fits.
+* :class:`repro.routing.lash.GreedyLayerAssigner` — LASH's scheme:
+  place each path into the first existing layer whose induced CDG
+  stays acyclic, opening a new layer when none fits (it lives next to
+  its only caller, so this module needs no ``repro.cdg``).
 * :func:`break_cycles_into_layers` — DFSSSP's scheme: start with every
   path in layer 0; while the layer's induced CDG has a cycle, take the
   cycle edge carrying the fewest paths and push those paths into the
@@ -26,12 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.cdg.complete_cdg import CompleteCDG
 from repro.network.graph import Network
 
 __all__ = [
     "path_dependencies",
-    "GreedyLayerAssigner",
     "break_cycles_into_layers",
 ]
 
@@ -53,64 +52,17 @@ def path_dependencies(
     return deps
 
 
-class GreedyLayerAssigner:
-    """First-fit layer assignment with exact acyclicity what-ifs (LASH).
-
-    Each layer is backed by a :class:`CompleteCDG`, whose incremental
-    machinery answers "does this path fit?" in near-linear time; failed
-    insertions are rolled back exactly (including the blocked marker).
-    """
-
-    def __init__(self, net: Network, max_layers: Optional[int] = None) -> None:
-        self.net = net
-        self.max_layers = max_layers
-        self.layers: List[CompleteCDG] = []
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    def _fits(self, layer: CompleteCDG, deps: List[Tuple[int, int]]) -> bool:
-        added: List[Tuple[int, int]] = []
-        for cp, cq in deps:
-            state_before = layer.edge_state(cp, cq)
-            if layer.try_use_edge(cp, cq):
-                if state_before != 1:  # newly used: remember for rollback
-                    added.append((cp, cq))
-            else:
-                for a, b in reversed(added):
-                    layer.unuse_edge(a, b)
-                layer.unblock_edge(cp, cq)
-                return False
-        return True
-
-    def assign(self, path: Sequence[int]) -> int:
-        """Place ``path`` into a layer; returns the layer index.
-
-        Opens a new layer when no existing one fits (a single path
-        always fits an empty layer because its own dependency chain is
-        acyclic — paths are cycle-free).
-        """
-        deps = path_dependencies(self.net, path)
-        for i, layer in enumerate(self.layers):
-            if self._fits(layer, deps):
-                return i
-        layer = CompleteCDG(self.net)
-        self.layers.append(layer)
-        if self.max_layers is not None and len(self.layers) > self.max_layers:
-            # keep going so callers can report the true requirement;
-            # they check n_layers afterwards.
-            pass
-        if not self._fits(layer, deps):
-            raise AssertionError("cycle-free path must fit an empty layer")
-        return len(self.layers) - 1
-
-
 def _find_cycle(adj: Dict[int, Set[int]]) -> Optional[List[Tuple[int, int]]]:
     """One directed cycle of ``adj`` as an edge list, or None.
 
     Iterative colored DFS; returns the edge sequence of the first
     back-edge cycle encountered.
+
+    Not the shared acyclicity check (:func:`repro.utils.dag.kahn_residue`)
+    on purpose: *which* cycle comes back picks the weakest edge
+    :func:`break_cycles_into_layers` moves paths off, so this search
+    order is part of the DFSSSP baseline itself (the dfsssp golden
+    digests pin it) — as Pearce-Kelly is part of Nue.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: Dict[int, int] = {v: WHITE for v in adj}

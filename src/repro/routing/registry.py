@@ -31,14 +31,8 @@ against its fields, constructs it, and calls its ``validate()`` method
 :func:`build_config` exposes the same validation standalone (the CLI
 and ``RouteRequest.config`` round-trip tests use it).
 
-Third-party algorithms can join via the :func:`register` decorator —
-either the legacy kwargs form::
-
-    @register("my-routing", description="...")
-    def _make(max_vls, workers, **config):
-        return MyRouting(max_vls, workers=workers)
-
-or the typed form, where the factory receives the validated instance::
+Third-party algorithms can join via the :func:`register` decorator;
+the factory receives the validated ``config_cls`` instance::
 
     @register("my-routing", description="...", config_cls=MyConfig)
     def _make(max_vls, workers, config):
@@ -69,13 +63,11 @@ class AlgorithmSpec:
 
     name: str
     factory: Callable[..., RoutingAlgorithm]
+    #: frozen dataclass of the algorithm's config keywords
+    config_cls: type
     description: str = ""
     #: hard floor on the VC budget (Torus-2QoS needs 2 data VLs)
     min_vls: int = 1
-    #: frozen dataclass of the algorithm's config keywords; ``None``
-    #: keeps the legacy ``factory(max_vls, workers, **config)`` calling
-    #: convention for third-party registrations
-    config_cls: Optional[type] = None
 
 
 _REGISTRY: Dict[str, AlgorithmSpec] = {}
@@ -84,17 +76,15 @@ _REGISTRY: Dict[str, AlgorithmSpec] = {}
 def register(
     name: str,
     *,
+    config_cls: type,
     description: str = "",
     min_vls: int = 1,
-    config_cls: Optional[type] = None,
 ) -> Callable[[Callable[..., RoutingAlgorithm]],
               Callable[..., RoutingAlgorithm]]:
     """Decorator registering an algorithm factory.
 
-    With ``config_cls`` the factory is called as ``factory(max_vls,
-    workers, config)`` where ``config`` is the validated dataclass
-    instance; without it the legacy ``factory(max_vls, workers,
-    **config)`` convention applies.
+    The factory is called as ``factory(max_vls, workers, config)``
+    where ``config`` is the validated ``config_cls`` instance.
     """
 
     def deco(
@@ -117,8 +107,7 @@ def build_config(name: str, **config: object) -> Optional[object]:
 
     The eager one-line validation of :func:`make_algorithm`, standalone:
     unknown keys raise a ``ValueError`` naming the valid choices, then
-    the instance's own ``validate()`` runs (when defined).  Returns
-    ``None`` for legacy registrations without a ``config_cls``.
+    the instance's own ``validate()`` runs (when defined).
     """
     _ensure_builtins()
     spec = _REGISTRY.get(name)
@@ -127,8 +116,6 @@ def build_config(name: str, **config: object) -> Optional[object]:
             f"unknown routing algorithm {name!r}; choose from "
             f"{available_algorithms()}"
         )
-    if spec.config_cls is None:
-        return None
     valid = sorted(f.name for f in dataclasses.fields(spec.config_cls))
     unknown = sorted(set(config) - set(valid))
     if unknown:
@@ -188,14 +175,9 @@ def make_algorithm(
             f"unknown routing algorithm {name!r}; choose from "
             f"{available_algorithms()}"
         )
-    if spec.config_cls is not None:
-        cfg = build_config(name, **config)
-        return spec.factory(
-            max_vls=max(spec.min_vls, max_vls), workers=workers,
-            config=cfg,
-        )
     return spec.factory(
-        max_vls=max(spec.min_vls, max_vls), workers=workers, **config
+        max_vls=max(spec.min_vls, max_vls), workers=workers,
+        config=build_config(name, **config),
     )
 
 

@@ -5,6 +5,8 @@
   that the paper's Algorithm 1 calls for.
 * :class:`repro.utils.unionfind.UnionFind` — disjoint sets with path
   compression, used for the ω subgraph numbering of Section 4.6.1.
+* :func:`repro.utils.dag.kahn_residue` — the library's one plain
+  acyclicity check (Theorem 1), a numpy-only leaf.
 
 The repo-wide heap idiom
 ------------------------

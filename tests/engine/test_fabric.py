@@ -270,37 +270,6 @@ class TestShardDestinations:
         assert fabric.shard_destinations([], workers=4) == []
 
 
-class TestWorkersEnv:
-    """``REPRO_WORKERS`` sits between the explicit argument and the
-    run-wide default (satellite a: arg > env > default)."""
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(engine.WORKERS_ENV_VAR, "5")
-        assert engine.resolve_workers(None, n_tasks=16) == 5
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(engine.WORKERS_ENV_VAR, "5")
-        assert engine.resolve_workers(2, n_tasks=16) == 2
-
-    def test_env_zero_means_all_cores(self, monkeypatch):
-        monkeypatch.setenv(engine.WORKERS_ENV_VAR, "0")
-        n = engine.resolve_workers(None, n_tasks=64)
-        assert n == min(os.cpu_count() or 1, 64)
-
-    def test_blank_env_falls_through_to_default(self, monkeypatch):
-        monkeypatch.setenv(engine.WORKERS_ENV_VAR, "  ")
-        assert engine.resolve_workers(None, n_tasks=8) == \
-               engine.get_default_workers()
-
-    def test_garbage_env_warns_and_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(engine.WORKERS_ENV_VAR, "many")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            n = engine.resolve_workers(None, n_tasks=8)
-        assert n == engine.get_default_workers()
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-
-
 class TestCampaignFabricReuse:
     """The ISSUE acceptance bar: a multi-event campaign reuses one pool
     and one shm export per surviving fingerprint — after warmup no new

@@ -134,6 +134,44 @@ class TestAnalyzeSimulate:
         assert "deadlock-free:    False" in capsys.readouterr().out
 
 
+class TestAnalyzeRejectsBrokenTables:
+    """A hole or a forwarding loop is a one-line exit 1, no traceback."""
+
+    @pytest.fixture
+    def routed(self, fabric, tmp_path):
+        tables = tmp_path / "t.json"
+        main(["route", str(fabric), "-a", "nue", "--vls", "2",
+              "--seed", "1", "-o", str(tables)])
+        return load_topology(fabric), json.loads(tables.read_text())
+
+    def _analyze(self, fabric, tmp_path, payload, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(["analyze", str(fabric), str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("invalid tables: ")
+        return line
+
+    def test_hole(self, fabric, routed, tmp_path, capsys):
+        net, payload = routed
+        s = net.switches[0]  # dests are terminals: s is no destination
+        payload["next_channel"][s][0] = -1
+        line = self._analyze(fabric, tmp_path, payload, capsys)
+        assert "no route from" in line
+
+    def test_forwarding_loop(self, fabric, routed, tmp_path, capsys):
+        net, payload = routed
+        u, v = net.switches[0], net.switches[1]
+        payload["next_channel"][u][0] = net.find_channels(u, v)[0]
+        payload["next_channel"][v][0] = net.find_channels(v, u)[0]
+        line = self._analyze(fabric, tmp_path, payload, capsys)
+        assert "loop" in line
+
+
 class TestExplainDeadlock:
     def test_cycle_witness_printed(self, fabric, tmp_path, capsys):
         tables = tmp_path / "t.json"

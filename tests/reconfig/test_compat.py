@@ -2,13 +2,14 @@
 
 ``InducedEdges`` must recover exactly the Def.-6 dependency edges a
 forwarding tree uses, ``UnionCDG`` must refcount shared edges and roll
-candidate overlays back exactly, and ``check_compatibility`` must agree
-with the independent Kahn implementation (``edges_acyclic``) on every
-layer verdict.
+candidate overlays back exactly, and ``check_compatibility`` — like the
+one Kahn check under it — must agree with networkx on every layer
+verdict.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,8 +19,8 @@ from repro.reconfig import (
     TransitionNotApplicable,
     UnionCDG,
     check_compatibility,
-    edges_acyclic,
 )
+from repro.reconfig.compat import edge_ids_acyclic
 from repro.routing.base import RoutingResult
 
 
@@ -123,7 +124,7 @@ class TestUnionCDG:
         union = UnionCDG(net, 1)
         assert not union.add_if_acyclic(0, cyc)
         assert union.edge_count(0) == 0
-        assert union.is_acyclic(0)
+        assert union.assert_acyclic([0]) == 1
         # the prefix without the closing edge is fine
         assert union.add_if_acyclic(0, cyc[:-1])
         assert union.edge_count(0) == len(cyc) - 1
@@ -141,22 +142,41 @@ def _ring_cycle_edges(net):
     return eids
 
 
+def _nx_acyclic(net, eids):
+    """networkx verdict on a set of Def.-6 edge ids (outside oracle)."""
+    csr = net.csr
+    return nx.is_directed_acyclic_graph(nx.DiGraph(
+        (csr.dep_src_l[e], csr.dep_dst_l[e]) for e in eids))
+
+
+def _assert_verdicts_match_networkx(report, old, new):
+    n_layers = len(report.layers)
+    for lay, old_ids, new_ids in zip(
+            report.layers, InducedEdges(old).by_layer(n_layers),
+            InducedEdges(new).by_layer(n_layers)):
+        assert lay.acyclic == _nx_acyclic(
+            new.net, set(old_ids.tolist()) | set(new_ids.tolist()))
+
+
 class TestEdgesAcyclic:
     def test_cycle_detected(self):
         net = topologies.ring(3, terminals_per_switch=1)
-        cyc = _ring_cycle_edges(net)
-        assert not edges_acyclic(net, cyc)
-        assert edges_acyclic(net, cyc[:-1])
-        assert edges_acyclic(net, [])
+        cyc = np.array(_ring_cycle_edges(net))
+        assert not edge_ids_acyclic(net, cyc)
+        assert edge_ids_acyclic(net, cyc[:-1])
+        assert edge_ids_acyclic(net, np.empty(0, dtype=np.int64))
 
     def test_agrees_with_union_cdg(self, fig2a_net):
+        """The union verdict of ``check_compatibility`` and the one
+        check on the same edge ids both agree with networkx."""
         result = _route(fig2a_net, max_vls=1)
-        induced = InducedEdges(result)
-        all_edges = sorted(
-            {int(e) for d in result.dests for e in induced.edges_of[d]})
-        union = UnionCDG(fig2a_net, 1)
-        union.force_add(0, all_edges)
-        assert union.is_acyclic(0) == edges_acyclic(fig2a_net, all_edges)
+        all_edges = InducedEdges(result).by_layer(1)[0]
+        assert edge_ids_acyclic(fig2a_net, all_edges) \
+            == _nx_acyclic(fig2a_net, all_edges.tolist())
+        report = check_compatibility(result, result)
+        assert report.layers[0].union_edges == all_edges.size
+        assert report.layers[0].acyclic \
+            == _nx_acyclic(fig2a_net, all_edges.tolist())
 
 
 class TestCheckCompatibility:
@@ -179,9 +199,19 @@ class TestCheckCompatibility:
                                             layer.new_edges)
         assert report.compatible == all(
             lay.acyclic for lay in report.layers)
+        _assert_verdicts_match_networkx(report, old, new)
         as_dict = report.to_dict()
         assert as_dict["compatible"] == report.compatible
         assert len(as_dict["layers"]) == len(report.layers)
+
+    def test_cyclic_union_reported_per_layer(self, ring6):
+        """Two deadlock-free routings whose layer-0 union is cyclic."""
+        old = _route(ring6, "updn", max_vls=2, seed=1)
+        new = _route(ring6, max_vls=2, seed=3)
+        report = check_compatibility(old, new)
+        assert not report.compatible
+        assert [lay.acyclic for lay in report.layers] == [False, True]
+        _assert_verdicts_match_networkx(report, old, new)
 
     def test_mismatched_spaces_rejected(self, ring6):
         small = topologies.ring(4, terminals_per_switch=1)

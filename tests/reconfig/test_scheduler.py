@@ -112,6 +112,30 @@ class TestZeroDrain:
         assert plan.proofs >= plan.n_steps
 
 
+class TestOneLiftOneOverlay:
+    def test_plan_lifts_each_table_once(self, torus443, monkeypatch):
+        """One plan = one ``InducedEdges`` per table and one
+        ``CompleteCDG`` per layer (the scheduler's ``state``): the
+        compatibility report and the target proof reuse the lifts and
+        build no CDG of their own."""
+        from repro.cdg.complete_cdg import CompleteCDG
+        from repro.reconfig.compat import InducedEdges
+
+        built = {InducedEdges: 0, CompleteCDG: 0}
+        for cls in built:
+            def counting(self, *args, _cls=cls, _init=cls.__init__):
+                built[_cls] += 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        old = _route(torus443, "updn", seed=1)
+        new = _route(torus443, seed=3)
+        built[InducedEdges] = built[CompleteCDG] = 0  # routing's own
+        plan = plan_transition(old, new)
+        assert plan.report is not None
+        assert built[InducedEdges] == 2
+        assert built[CompleteCDG] == len(plan.report.layers) == 2
+
+
 class TestDrainFallback:
     def test_auto_falls_back_to_one_barrier(self, incompatible_pair):
         old, new = incompatible_pair
@@ -165,9 +189,11 @@ class TestBrokenEndpoints:
             "t2_0": {**inject, "s2": "t2_0", "s3": "s0", "s0": "s1",
                      "s1": "s2"},
         })
-        with pytest.raises(ValueError, match="not deadlock-free"):
+        with pytest.raises(ValueError,
+                           match="old routing is not deadlock-free"):
             plan_transition(broken, new)
-        with pytest.raises(ValueError, match="not deadlock-free"):
+        with pytest.raises(ValueError,
+                           match="target routing is not deadlock-free"):
             plan_transition(new, broken)
 
 

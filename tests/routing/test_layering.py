@@ -1,8 +1,8 @@
 """Layer assignment machinery: greedy (LASH) and cycle-breaking (DFSSSP)."""
 
 
+from repro.routing.lash import GreedyLayerAssigner
 from repro.routing.layering import (
-    GreedyLayerAssigner,
     _find_cycle,
     break_cycles_into_layers,
     path_dependencies,

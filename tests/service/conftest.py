@@ -4,6 +4,7 @@ blocking test algorithm for concurrency scenarios."""
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 
 import pytest
 
@@ -20,6 +21,11 @@ def _clean_service_state(clean_fabric):
     cache.disable_route_cache()
 
 
+@dataclass(frozen=True)
+class BlockingConfig:
+    """``svc-blocker`` takes no extra configuration."""
+
+
 class BlockingAlgo:
     """Test algorithm: parks in ``route()`` until released.
 
@@ -34,7 +40,7 @@ class BlockingAlgo:
     calls = 0
     lock = threading.Lock()
 
-    def __init__(self, max_vls: int = 8, workers=None, **config) -> None:
+    def __init__(self, max_vls: int = 8, workers=None, config=None) -> None:
         self.max_vls = max_vls
         self.workers = workers
 
@@ -58,7 +64,7 @@ def blocking_algorithm():
     BlockingAlgo.started.clear()
     BlockingAlgo.release.clear()
     BlockingAlgo.calls = 0
-    registry.register("svc-blocker",
+    registry.register("svc-blocker", config_cls=BlockingConfig,
                       description="test-only gated algorithm")(BlockingAlgo)
     yield BlockingAlgo
     registry._REGISTRY.pop("svc-blocker", None)
