@@ -1,14 +1,12 @@
-"""Benchmark configuration.
+"""Benchmark configuration for the speed and memory guards.
 
-Each paper table/figure has one benchmark module regenerating its
-rows/series at a tractable scale (absolute wall-clock differs from the
-paper's C + OMNeT++ toolchain; orderings and shapes are what count —
-see EXPERIMENTS.md).  Shape facts are attached to the benchmark's
-``extra_info`` so `pytest benchmarks/ --benchmark-only` leaves a
-machine-readable record.
-
-Most benchmarks run ``pedantic(rounds=1)``: routing a network is a
-seconds-scale deterministic computation, not a microsecond kernel.
+The modules here guard engineering claims, not paper figures: the
+shared-memory fabric and layer fan-out speedups (``test_bench_fabric``),
+the scale sweep's memory budget (``test_bench_scale``), the
+observability overhead (``test_bench_obs_overhead``) and resilience
+repair (``test_bench_resilience``).  The paper's figures and their
+shape facts live in ``repro.experiments`` (each figure's ``check``);
+end-to-end wall-clock is the ``bench/`` harness's job.
 """
 
 import os

@@ -9,8 +9,9 @@ finish the 4x4x3 reference in about a pool round trip, so their
 fan-out is guarded on the 13x13x12 torus' 2.1 M pairs; on the small
 reference a second guard bounds the serial sweep by the route it
 measures.)  Every guard records ``serial_s`` /
-``parallel_s`` / ``speedup`` in its ``extra_info`` so
-``scripts/bench_report.py`` can collect them into ``BENCH_PR5.json``.
+``parallel_s`` / ``speedup`` in its ``extra_info`` (kept by
+``--benchmark-json``).  The last guard is the layer fan-out's: Nue
+k=4 on 4 workers >= 1.5x over serial.
 
 Guards skip (not fail) below 4 cores — see ``conftest.needs_cores``.
 """
@@ -20,9 +21,10 @@ import time
 import pytest
 
 from conftest import needs_cores
+from repro.core import NueRouting
 from repro.engine import fabric
 from repro.metrics import edge_forwarding_indices, path_length_stats
-from repro.network.topologies import torus
+from repro.network.topologies import random_topology, torus
 from repro.routing import make_algorithm
 from repro.routing.dor import DORRouting
 
@@ -43,6 +45,12 @@ def _fresh_fabric():
     fabric.shutdown()
     yield
     fabric.shutdown()
+
+
+@pytest.fixture(scope="module")
+def nets():
+    # the largest network of the Prop. 1 scaling sweep
+    return {128: random_topology(128, 128 * 3, 2, seed=3)}
 
 
 def _best_of(fn, rounds=3):
@@ -174,3 +182,31 @@ def test_bench_fabric_shm_export_amortised(benchmark, net):
     assert counts.get("fabric.shm_exports") == 1
     assert counts.get("fabric.pool_spawns") == 1
     assert counts.get("fabric.net_pickle_fallbacks", 0) == 0
+
+
+@needs_cores
+def test_engine_parallel_speedup_nue_k4(nets):
+    """The repro.engine pool must actually buy wall-clock: Nue k=4
+    (4 independent layers) on 4 workers vs serial, >= 1.5x on a
+    4-core runner.  Best-of-2 per mode smooths scheduler noise."""
+    import time
+
+    net = nets[128]
+    NueRouting(4, workers=1).route(net, seed=3)  # warm caches/imports
+
+    def best_of(workers, rounds=2):
+        best = float("inf")
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            NueRouting(4, workers=workers).route(net, seed=3)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    serial = best_of(1)
+    parallel = best_of(4)
+    assert parallel > 0
+    speedup = serial / parallel
+    assert speedup >= 1.5, (
+        f"parallel layer routing too slow: {serial:.3f}s serial vs "
+        f"{parallel:.3f}s on 4 workers ({speedup:.2f}x < 1.5x)"
+    )

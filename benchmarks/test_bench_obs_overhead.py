@@ -8,8 +8,8 @@ no-op object.  This benchmark turns that design claim into a regression
 test: it prices the disabled-path primitives per call, multiplies by
 how often a routing step actually touches them (taken from the live
 counters of the same workload), and asserts the total stays below 3 %
-of the measured median step time from ``test_bench_microkernels``'s
-routing-step workload.
+of the measured median single-destination routing step on a
+60-switch random topology.
 
 The second guard prices the *live telemetry plane*'s worker-side path:
 the same workload with every event streamed through a
@@ -36,7 +36,6 @@ LIVE_BUDGET = 0.10      # live-bus streaming path, same denominator
 
 @pytest.fixture(scope="module")
 def net():
-    # same workload as test_bench_microkernels' routing step
     return random_topology(60, 300, 4, seed=21)
 
 

@@ -9,17 +9,11 @@
 ``scaling``   Prop. 1 empirical complexity fit
 ``fallbacks`` Sec. 5.1 escape-fallback statistics
 ============  =========================================================
+
+Harnesses are not imported here, so ``python -m repro.experiments.<name>``
+runs its module once; each figure's ``check`` asserts the paper's shape.
 """
 
-from repro.experiments import (
-    fallbacks,
-    fig01,
-    fig09,
-    fig10,
-    fig11,
-    scaling,
-    table1,
-)
 from repro.experiments.common import (
     RoutingOutcome,
     nue_suite,
@@ -29,13 +23,6 @@ from repro.experiments.common import (
 from repro.experiments.report import render_table, dump_json
 
 __all__ = [
-    "fallbacks",
-    "fig01",
-    "fig09",
-    "fig10",
-    "fig11",
-    "scaling",
-    "table1",
     "RoutingOutcome",
     "nue_suite",
     "routing_suite",

@@ -8,7 +8,8 @@ deadlock-freedom — DFSSSP exceeds the 4-VC limit and is therefore
 inapplicable, Torus-2QoS works but would not survive a second failure
 in the same ring, Nue works at every VC count.
 
-Run: ``python -m repro.experiments.fig01 [--json out.json]``
+Run: ``python -m repro.experiments.fig01 [--json out.json]``; it exits 1
+when :func:`check` finds a broken paper-shape fact.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import time
 from typing import Dict, List, Optional
 
 from repro.experiments.common import nue_suite, routing_suite, run_routing
-from repro.experiments.report import render_table
+from repro.experiments.report import assert_facts, check_or_exit, render_table
 from repro.io.tables import save_experiment
 from repro.fabric.flow import simulate_all_to_all
 from repro.metrics import is_deadlock_free
 from repro.network.faults import remove_switches
 from repro.network.topologies import torus
 
-__all__ = ["run", "build_network"]
+__all__ = ["run", "check", "build_network"]
 
 VC_LIMIT = 4
 
@@ -106,6 +107,30 @@ def run(
     return rows
 
 
+def check(rows: List[Dict]) -> None:
+    """Assert Fig. 1's shape (the facts named below) on :func:`run`'s rows."""
+    by = {r["routing"]: r for r in rows}
+
+    def tput(label: str) -> float:
+        return by[label]["throughput_gbs"]
+
+    usable = [f"nue-{k}vl" for k in range(1, VC_LIMIT + 1)]
+    usable += ["lash", "torus-2qos"]
+    assert_facts("fig01", [
+        *((f"{label} usable within {VC_LIMIT} VCs",
+           lambda label=label: by[label]["applicable"] and tput(label) > 0)
+          for label in usable),
+        ("torus-2qos needs 2 VCs",
+         lambda: by["torus-2qos"]["required_vcs"] == 2),
+        ("updn needs 1 VC", lambda: by["updn"]["required_vcs"] == 1),
+        (f"dfsssp needs more than {VC_LIMIT} VCs",
+         lambda: by["dfsssp"]["required_vcs"] > VC_LIMIT),
+        ("nue-4vl beats nue-1vl", lambda: tput("nue-4vl") > tput("nue-1vl")),
+        ("nue-4vl reaches 0.7x torus-2qos",
+         lambda: tput("nue-4vl") >= 0.7 * tput("torus-2qos")),
+    ])
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
@@ -115,7 +140,8 @@ def main() -> None:
     )
     ap.add_argument("--json", dest="json_path", default=None)
     args = ap.parse_args()
-    run(args.seed, args.sample_phases, args.json_path)
+    rows = run(args.seed, args.sample_phases, args.json_path)
+    check_or_exit(check, rows)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ statistics — maximum path length and the escape-path fallback rate.
 
 The topology count is configurable (box statistics stabilise far below
 1,000 samples; see DESIGN.md §3): ``python -m repro.experiments.fig09
---topologies 1000`` is the paper-scale run.
+--topologies 1000`` is the paper-scale run.  It exits 1 when
+:func:`check` finds a broken paper-shape fact.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.report import render_table
+from repro.experiments.report import assert_facts, check_or_exit, render_table
 from repro.io.tables import save_experiment
 from repro.metrics import gamma_summary, path_length_stats
 from repro.network.topologies import random_topology
 from repro.routing import make_algorithm
 from repro.utils.prng import make_rng, spawn_seed
 
-__all__ = ["run"]
+__all__ = ["run", "check"]
 
 N_SWITCHES = 125
 N_LINKS = 1000
@@ -111,6 +112,25 @@ def run(
     return summary
 
 
+def check(summary: Dict[str, Dict[str, float]]) -> None:
+    """Assert Fig. 9's shape on :func:`run`'s summary (needs max_k >= 8):
+    more VLs move Nue's balance toward DFSSSP's (Sec. 5.1)."""
+    def stat(label: str, key: str) -> float:
+        return summary[label][key]
+
+    assert_facts("fig09", [
+        ("Γ_max > 0 for every Nue VL count",
+         lambda: all(s["max"] > 0 for lab, s in summary.items()
+                     if lab.startswith("nue"))),
+        ("Γ_max(nue-8vl) < Γ_max(nue-1vl)",
+         lambda: stat("nue-8vl", "max") < stat("nue-1vl", "max")),
+        ("Γ_max(nue-8vl) < 2x Γ_max(dfsssp)",
+         lambda: stat("nue-8vl", "max") < 2.0 * stat("dfsssp", "max")),
+        ("max path length(nue-8vl) <= dfsssp's + 2",
+         lambda: stat("nue-8vl", "maxlen") <= stat("dfsssp", "maxlen") + 2),
+    ])
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--topologies", type=int, default=5)
@@ -121,8 +141,9 @@ def main() -> None:
     ap.add_argument("--terminals", type=int, default=TERMINALS_PER_SWITCH)
     ap.add_argument("--json", dest="json_path", default=None)
     args = ap.parse_args()
-    run(args.topologies, args.max_k, args.seed, args.switches,
-        args.links, args.terminals, args.json_path)
+    summary = run(args.topologies, args.max_k, args.seed, args.switches,
+                  args.links, args.terminals, args.json_path)
+    check_or_exit(check, summary)
 
 
 if __name__ == "__main__":

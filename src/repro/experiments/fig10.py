@@ -13,6 +13,10 @@ Two scales:
   pure-Python run tractable.  This is the EXPERIMENTS.md run.
 * default quick scale — structurally identical topologies at roughly
   1/8 size, all phases simulated.
+
+Either run exits 1 when :func:`check` finds a broken paper-shape fact;
+the paper-scale torus breaks its facts (the known deviation in
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments.common import nue_suite, routing_suite, run_routing
-from repro.experiments.report import render_table
+from repro.experiments.report import assert_facts, check_or_exit, render_table
 from repro.experiments.table1 import paper_topologies
 from repro.io.tables import save_experiment
 from repro.fabric.flow import simulate_all_to_all
@@ -37,7 +41,7 @@ from repro.network.topologies import (
     two_tier_clos,
 )
 
-__all__ = ["run", "quick_topologies"]
+__all__ = ["run", "check", "quick_topologies"]
 
 
 def quick_topologies(seed: int = 1) -> Dict[str, Callable[[], Network]]:
@@ -129,6 +133,42 @@ def run(
     return table
 
 
+def check(table: Dict[str, Dict[str, Optional[float]]]) -> None:
+    """Assert Fig. 10's orderings on :func:`run`'s table; needs its torus,
+    tree and random topologies (matched by name at either scale)."""
+    def topology(kind: str) -> Dict[str, Optional[float]]:
+        for name, row in table.items():
+            if kind in name:
+                return row
+        raise KeyError(kind)
+
+    def best_nue(kind: str, ks: List[int]) -> float:
+        return max(topology(kind)[f"nue-{k}vl"] for k in ks)
+
+    def tput(kind: str, label: str) -> float:
+        return topology(kind)[label]
+
+    assert_facts("fig10", [
+        ("nue-8vl, dfsssp and updn route every topology",
+         lambda: all(row[label] is not None for row in table.values()
+                     for label in ("nue-8vl", "dfsssp", "updn"))),
+        ("torus: nue (6-8 VLs) beats updn",
+         lambda: best_nue("torus", [6, 8]) > tput("torus", "updn")),
+        ("torus: nue (6-8 VLs) reaches 0.6x torus-2qos",
+         lambda: best_nue("torus", [6, 8])
+         >= 0.6 * tput("torus", "torus-2qos")),
+        ("tree: ftree beats updn",
+         lambda: tput("tree", "ftree") > tput("tree", "updn")),
+        ("tree: nue-4vl beats updn",
+         lambda: tput("tree", "nue-4vl") > tput("tree", "updn")),
+        ("random: nue (4-8 VLs) reaches 0.75x dfsssp",
+         lambda: best_nue("random", [4, 8])
+         >= 0.75 * tput("random", "dfsssp")),
+        ("random: nue (4-8 VLs) reaches 0.9x lash",
+         lambda: best_nue("random", [4, 8]) >= 0.9 * tput("random", "lash")),
+    ])
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--paper-scale", action="store_true")
@@ -139,8 +179,9 @@ def main() -> None:
                     help="restrict to these topology names")
     ap.add_argument("--json", dest="json_path", default=None)
     args = ap.parse_args()
-    run(args.paper_scale, args.max_vls, args.sample_phases, args.seed,
-        args.only, args.json_path)
+    table = run(args.paper_scale, args.max_vls, args.sample_phases,
+                args.seed, args.only, args.json_path)
+    check_or_exit(check, table)
 
 
 if __name__ == "__main__":

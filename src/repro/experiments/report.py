@@ -8,9 +8,15 @@ since the reproduction is judged on shapes and orderings, not pixels.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["render_table", "dump_json", "format_value"]
+__all__ = [
+    "render_table", "dump_json", "format_value", "assert_facts",
+    "check_or_exit",
+]
+
+#: one paper-shape fact: its name and a thunk that says whether it holds
+Fact = Tuple[str, Callable[[], bool]]
 
 
 def format_value(v: object) -> str:
@@ -53,3 +59,34 @@ def dump_json(path: str, payload: Dict) -> None:
     """Write an experiment's raw numbers for external plotting."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+
+
+def assert_facts(experiment: str, facts: Sequence[Fact]) -> None:
+    """Raise one ``AssertionError`` naming every fact that does not hold.
+
+    A fact whose inputs the run lacks (a ``KeyError`` on an absent
+    routing or size, a ``TypeError`` comparing a failed routing's
+    ``None``) is broken too: a run that cannot show the paper's shape
+    does not pass its check.
+    """
+    broken = []
+    for name, holds in facts:
+        try:
+            ok = bool(holds())
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            broken.append(name)
+    if broken:
+        raise AssertionError(
+            f"{experiment} shape check failed: " + "; ".join(broken)
+        )
+
+
+def check_or_exit(check: Callable[[object], None], result: object) -> None:
+    """A harness ``main``'s last step: exit 1 with ``check``'s message
+    when a paper-shape fact breaks."""
+    try:
+        check(result)
+    except AssertionError as exc:
+        raise SystemExit(str(exc)) from None

@@ -3,7 +3,8 @@
 Regenerates each evaluation topology and reports switch / terminal /
 switch-to-switch channel counts next to the paper's numbers.  The two
 deliberate substitutions (Kautz parameters, Tsubame2.5 shape) are
-documented in DESIGN.md §3 and show up as the only deltas.
+documented in DESIGN.md §3 and show up as the only deltas; the run
+exits 1 when :func:`check` finds any other.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.report import render_table
+from repro.experiments.report import assert_facts, check_or_exit, render_table
 from repro.io.tables import save_experiment
 from repro.network.graph import Network
 from repro.obs import core as obs
@@ -27,7 +28,7 @@ from repro.network.topologies import (
     tsubame25_like,
 )
 
-__all__ = ["run", "paper_topologies", "PAPER_ROWS"]
+__all__ = ["run", "check", "paper_topologies", "PAPER_ROWS"]
 
 #: paper Tab. 1: (switches, terminals, channels, redundancy)
 PAPER_ROWS: Dict[str, Tuple[int, int, int, int]] = {
@@ -39,6 +40,9 @@ PAPER_ROWS: Dict[str, Tuple[int, int, int, int]] = {
     "cascade": (192, 1536, 3072, 1),
     "tsubame2.5": (243, 1407, 3384, 1),
 }
+
+#: our stand-ins' channel counts where they differ (DESIGN.md §3)
+SUBSTITUTE_CHANNELS = {"tsubame2.5": 3420}
 
 
 def paper_topologies(seed: int = 1) -> Dict[str, Callable[[], Network]]:
@@ -105,12 +109,24 @@ def run(seed: int = 1, json_path: Optional[str] = None) -> List[Dict]:
     return rows
 
 
+def check(rows: List[Dict]) -> None:
+    """Assert every Tab. 1 count equals the paper's (or the substitute's)."""
+    by = {r["topology"]: r for r in rows}
+    assert_facts("table1", [
+        (f"{name} {what}", lambda name=name, what=what, want=want:
+         by[name][what] == want)
+        for name, (sw, term, ch, _r) in PAPER_ROWS.items()
+        for what, want in (("switches", sw), ("terminals", term),
+                           ("channels", SUBSTITUTE_CHANNELS.get(name, ch)))
+    ])
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--json", dest="json_path", default=None)
     args = ap.parse_args()
-    run(args.seed, args.json_path)
+    check_or_exit(check, run(args.seed, args.json_path))
 
 
 if __name__ == "__main__":

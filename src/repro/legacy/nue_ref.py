@@ -6,12 +6,9 @@ A verbatim copy of the dict/list-based ``CompleteCDG``,
 migration.  The production modules (:mod:`repro.cdg.complete_cdg`,
 :mod:`repro.core.dijkstra`, :mod:`repro.core.escape`,
 :mod:`repro.core.backtrack`) now run on the shared
-:class:`repro.network.csr.CSRView`; this module exists so that
-
-* the engine equality tests can assert the CSR implementation produces
-  bit-identical forwarding tables (``tests/engine``), and
-* ``benchmarks/test_bench_csr.py`` can measure the serial speedup of
-  the routing step against the exact previous implementation.
+:class:`repro.network.csr.CSRView`; this module exists so that the engine equality tests can assert the
+CSR implementation produces bit-identical forwarding tables
+(``tests/engine``, ``tests/core/test_route_batch_oracle.py``).
 
 Do not "fix" or optimise anything here: its value is being frozen.
 """

@@ -12,7 +12,8 @@ from conftest import route_one
 from repro.cdg.complete_cdg import CompleteCDG
 from repro.core.dijkstra import NueLayerRouter
 from repro.core.escape import EscapePaths
-from repro.core.nue import NueRouting
+from repro.core.nue import NueConfig, NueRouting
+from repro.metrics import validate_routing
 from repro.network.graph import NetworkBuilder
 from repro.network.topologies import torus
 
@@ -152,3 +153,21 @@ class TestShortcuts:
         result = NueRouting(1).route(net, seed=1)
         assert result.stats["islands_resolved"] > 0
         assert result.stats["fallbacks"] == 0
+
+    def test_backtracking_never_adds_fallbacks(self):
+        """The §4.6.2 motivation on a 5x5x5 torus at k=1: without
+        backtracking the impasses fall back to escape paths; with it
+        they never fall back more often."""
+        net = torus([5, 5, 5], 2)
+        fallbacks = {}
+        for label, cfg in {
+            "on": NueConfig(),
+            "off": NueConfig(enable_backtracking=False,
+                             enable_shortcuts=False),
+        }.items():
+            result = NueRouting(1, cfg).route(net, seed=4)
+            validate_routing(result, sources=net.terminals[:10],
+                             check_deadlock=False)
+            fallbacks[label] = result.stats["fallbacks"]
+        assert fallbacks["off"] > 0
+        assert fallbacks["on"] <= fallbacks["off"]

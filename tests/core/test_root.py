@@ -125,3 +125,25 @@ class TestSelectRoot:
         # betweenness w.r.t. the subset, ties broken toward short
         # escape paths)
         assert select_root(net, dests) == n2
+
+    def test_central_root_tree_no_deeper_than_root_0(self):
+        """§4.3's latency argument: the betweenness-central root's
+        escape tree is at least as shallow as one rooted at node 0."""
+        net = random_topology(60, 300, 4, seed=5)
+
+        def max_depth(root):
+            tree = EscapePaths(
+                net, CompleteCDG(net), root, net.terminals
+            ).tree
+
+            def depth(v):
+                d = 0
+                while tree.parent[v] >= 0:
+                    v = tree.parent[v]
+                    d += 1
+                return d
+
+            return max(depth(v) for v in range(net.n_nodes))
+
+        central = select_root(net, net.terminals, all_dests=True)
+        assert max_depth(central) <= max_depth(0)

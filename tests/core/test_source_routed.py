@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import NueRouting
 from repro.core.source_routed import SourceRoutedNue
+from repro.metrics import gamma_summary
 from repro.metrics.deadlock import explicit_paths_deadlock_free
 from repro.network.topologies import (
     paper_ring_with_shortcut,
@@ -82,6 +84,25 @@ def test_deterministic():
     b = SourceRoutedNue(2).route_pairs(net, seed=9)
     assert a.paths == b.paths
     assert a.vls == b.vls
+
+
+def test_balance_vs_destination_based():
+    """§3's trade-off at k = 1: explicit per-pair routes have strictly
+    more freedom than one next hop per destination, so their Γ_max
+    stays within 1.5x of destination-based Nue's (and deadlock-free)."""
+    net = torus([4, 4], 2)
+    g_dest = gamma_summary(NueRouting(1).route(net, seed=6)).maximum
+    result = SourceRoutedNue(1).route_pairs(net, seed=6)
+    assert explicit_paths_deadlock_free(
+        net,
+        ((p, result.vls[pair]) for pair, p in result.paths.items()),
+    )
+    loads = {}
+    for path in result.paths.values():
+        for c in path:
+            if all(net.is_switch(v) for v in net.endpoints(c)):
+                loads[c] = loads.get(c, 0) + 1
+    assert max(loads.values()) <= 1.5 * g_dest
 
 
 def test_bad_k():

@@ -1,10 +1,16 @@
-"""Experiment harness smoke tests (tiny parameterizations)."""
+"""Experiment harness tests: each figure's ``check`` passes at reduced
+size and names the fact a doctored summary breaks."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.experiments import fig09, fig10, fig11, scaling, table1
+import repro
+from repro.experiments import fig01, fig09, fig10, fig11, scaling, table1
 from repro.experiments.common import (
     nue_suite,
     routing_suite,
@@ -50,7 +56,17 @@ class TestCommon:
         assert set(nue_suite(3)) == {"nue-1vl", "nue-2vl", "nue-3vl"}
 
 
+def assert_check_fails(check, doctored, fact):
+    """``check`` rejects the doctored summary, naming the broken fact."""
+    with pytest.raises(AssertionError, match="shape check failed") as exc:
+        check(doctored)
+    assert fact in str(exc.value)
+
+
 class TestHarnesses:
+    """Every figure's harness at reduced size: its ``check`` passes on
+    the run and fails on a doctored copy of it."""
+
     def test_table1(self, capsys, tmp_path):
         out = tmp_path / "t1.json"
         rows = table1.run(seed=1, json_path=str(out))
@@ -63,46 +79,89 @@ class TestHarnesses:
         assert payload["meta"]["seed"] == 1
         assert payload["meta"]["runtime_s"] >= 0
         assert payload["data"]["rows"] == rows
+        table1.check(rows)
+
+        doctored = copy.deepcopy(rows)
+        doctored[-1]["channels"] = 3384  # the paper's, not our substitute's
+        assert_check_fails(table1.check, doctored, "tsubame2.5 channels")
+
+    def test_fig01(self, capsys):
+        rows = fig01.run(seed=1, sample_phases=40)
+        assert "Fig. 1" in capsys.readouterr().out
+        fig01.check(rows)
+
+        doctored = copy.deepcopy(rows)
+        for row in doctored:
+            if row["routing"] == "nue-4vl":
+                row["throughput_gbs"] = 1.0
+        assert_check_fails(fig01.check, doctored, "nue-4vl beats nue-1vl")
 
     def test_fig09_tiny(self, capsys, tmp_path):
         out = tmp_path / "f9.json"
         summary = fig09.run(
-            n_topologies=2, max_k=2, seed=3,
-            n_switches=10, n_links=25, terminals_per_switch=2,
+            n_topologies=1, max_k=8, seed=2016,
+            n_switches=40, n_links=200, terminals_per_switch=4,
             json_path=str(out),
         )
-        assert set(summary) == {"nue-1vl", "nue-2vl", "lash", "dfsssp"}
+        assert set(summary) == {
+            *(f"nue-{k}vl" for k in range(1, 9)), "lash", "dfsssp"}
         for stats in summary.values():
             assert stats["max"] >= stats["min"] >= 0
         assert "Fig. 9" in capsys.readouterr().out
+        fig09.check(summary)
+
+        doctored = copy.deepcopy(summary)
+        doctored["nue-8vl"]["maxlen"] = doctored["dfsssp"]["maxlen"] + 3
+        assert_check_fails(fig09.check, doctored,
+                           "max path length(nue-8vl)")
 
     def test_fig10_single_topology(self, capsys):
         table = fig10.run(
-            paper_scale=False, max_vls=2, sample_phases=8, seed=1,
-            only=["torus-4x4x3"],
+            paper_scale=False, max_vls=8, sample_phases=24, seed=1,
+            only=["torus-4x4x3", "4-ary-3-tree", "random"],
         )
-        assert "torus-4x4x3" in table
+        assert set(table) == {"torus-4x4x3", "4-ary-3-tree", "random"}
         row = table["torus-4x4x3"]
         assert row["torus-2qos"] is not None
         assert row["ftree"] is None  # not applicable off-tree
         assert row["nue-1vl"] is not None
+        fig10.check(table)
+
+        doctored = copy.deepcopy(table)
+        doctored["4-ary-3-tree"]["ftree"] = None
+        assert_check_fails(fig10.check, doctored, "tree: ftree beats updn")
 
     def test_fig11_tiny(self, capsys, tmp_path):
         out = tmp_path / "f11.json"
-        runtimes = fig11.run(
-            max_dim=2, max_vls=8, fault_fraction=0.0,
-            terminals_per_switch=1, seed=1, json_path=str(out),
-        )
+        data = fig11.run(max_dim=4, json_path=str(out))
+        runtimes = data["runtimes_s"]
         assert set(runtimes) == {"nue-8vl", "dfsssp", "lash", "torus-2qos"}
         assert runtimes["nue-8vl"]["2x2x2"] is not None
         printed = capsys.readouterr().out
         assert "applicability" in printed
+        payload = json.loads(out.read_text())
+        assert payload["data"]["vls_used"]["torus-2qos"]["4x4x4"] == 2
+        fig11.check(data)
+
+        doctored = copy.deepcopy(data)
+        doctored["runtimes_s"]["dfsssp"]["4x4x4"] = 0.1
+        assert_check_fails(fig11.check, doctored,
+                           "dfsssp runs out of virtual layers at 4x4x4")
 
     def test_scaling_tiny(self, capsys):
-        points, slope = scaling.run(sizes=[8, 16], k=1, degree=4,
-                                    terminals_per_switch=1, seed=2)
-        assert len(points) == 2
+        points, slope = scaling.run()
+        assert len(points) == 4
         assert points[1][0] > points[0][0]
+        scaling.check((points, slope))
+        assert_check_fails(scaling.check, (points, 3.2), "log-log slope")
+
+    def test_scaling_single_size_measures_no_slope(self, capsys):
+        """One size cannot fit a line: the slope is n/a, not a number
+        polyfit invents, and ``check`` refuses it."""
+        points, slope = scaling.run(sizes=[8], terminals_per_switch=1)
+        assert len(points) == 1 and slope is None
+        assert "log-log slope: n/a" in capsys.readouterr().out
+        assert_check_fails(scaling.check, (points, slope), "log-log slope")
 
     def test_tori_dimensions_sequence(self):
         dims = fig11.tori_dimensions(3)
@@ -187,6 +246,21 @@ class TestRunnerDispatch:
         runner.main(["table1"])
         assert "Tab. 1" in capsys.readouterr().out
         assert sys.argv == before
+
+    def test_module_runs_once_without_warning(self):
+        """``python -m repro.experiments.<name>`` must not find its
+        module already imported by the package (runpy's RuntimeWarning:
+        the harness would run from two module objects)."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.table1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "Tab. 1" in proc.stdout
 
     def test_dispatch_restores_argv_on_error(self):
         import sys

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from repro.core import NueConfig, NueRouting
+from repro.metrics import gamma_summary, validate_routing
 from repro.partition import (
     ClusterPartitioner,
     KWayPartitioner,
@@ -72,6 +74,20 @@ class TestKWay:
         kway = cut(KWayPartitioner().assign(net, 4, seed=7))
         rand = cut(RandomPartitioner().assign(net, 4, seed=7))
         assert kway < rand
+
+    def test_nue_gamma_max_near_random_partitioning(self):
+        """§4.5's partitioner choice at k = 8: k-way's Γ_max is not
+        materially worse than random partitioning's (the paper found
+        it better)."""
+        net = random_topology(60, 300, 4, seed=9)
+        gmax = {}
+        for part in ("kway", "random"):
+            result = NueRouting(8, NueConfig(partitioner=part)).route(
+                net, seed=17)
+            validate_routing(result, sources=net.terminals[:10],
+                             check_deadlock=False)
+            gmax[part] = gamma_summary(result).maximum
+        assert gmax["kway"] <= 1.25 * gmax["random"]
 
 
 class TestCluster:

@@ -5,10 +5,8 @@ import doctest
 import pytest
 
 import repro.network.graph
-import repro.utils.heap
 
 MODULES = [
-    repro.utils.heap,
     repro.network.graph,
 ]
 
