@@ -81,7 +81,6 @@ reachable, total = _reachable_pairs(res, workers=workers)
 h = hashlib.blake2b(digest_size=16)
 h.update(np.ascontiguousarray(res.next_channel, dtype=np.int32).tobytes())
 h.update(np.ascontiguousarray(res.vl, dtype=np.int8).tobytes())
-shm_backed = res.shm_backed
 res.release()
 fabric.shutdown()  # reap pool workers so RUSAGE_CHILDREN is complete
 counters = {k: v for k, v in obs.counters().items()
@@ -90,7 +89,6 @@ maxrss_kb = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
              + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 print(json.dumps({
     "digest": h.hexdigest(),
-    "shm_backed": shm_backed,
     "reachable": reachable,
     "total": total,
     "maxrss_mb": maxrss_kb // 1024,
@@ -143,7 +141,8 @@ def _sweep_stages(benchmark, dims, n_dests, golden, budget_mb, workers):
 
     # zero-copy: every worker landed its columns in the table segment,
     # none returned its block by value
-    assert shm["shm_backed"], "table store did not engage"
+    assert shm["counters"].get("fabric.table_creates", 0) == 1, \
+        "table store did not engage"
     assert shm["counters"].get("fabric.table_writes", 0) >= workers
     assert shm["counters"].get("fabric.table_fallbacks", 0) == 0
     # the consumer audit reattached the segment instead of copying

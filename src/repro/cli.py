@@ -160,7 +160,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     if args.lft:
         sys.stdout.write(format_lft(result, max_dests=args.lft_dests))
-    result.release()
     return 0
 
 

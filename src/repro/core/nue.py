@@ -29,7 +29,7 @@ from repro.cdg.complete_cdg import CompleteCDG
 from repro.core.dijkstra import NueLayerRouter
 from repro.core.escape import EscapePaths
 from repro.core.root import select_root
-from repro.engine import run_layer_tasks, tablestore
+from repro.engine import resolve_workers, run_layer_tasks, tablestore
 from repro.network.graph import Network
 from repro.obs import core as obs
 from repro.partition import make_partitioner, partition_destinations
@@ -194,10 +194,10 @@ def _route_layer(
     SegmentHandle`, the layer's column block is written **directly into
     the shm-resident table** at the full-table column indices ``cols``
     (``fabric.table_writes``) and the returned block is None — no
-    table bytes ride the result pipe.  Without a handle (no segment
-    could be allocated, or it cannot be attached) the block returns in
-    the task result and the parent scatters it.  Either way the values
-    are bit-identical: the block is staged
+    table bytes ride the result pipe.  Without a handle (a one-worker
+    route, or no segment could be allocated or attached) the block
+    returns in the task result and the parent scatters it.  Either way
+    the values are bit-identical: the block is staged
     and filled locally by the same ``route_batch`` call.  The spawned
     ``layer_seed`` is carried for forward compatibility — no current
     layer computation draws from it.
@@ -277,44 +277,39 @@ class NueRouting(RoutingAlgorithm):
         # one writable table for the whole request: workers land their
         # layer's columns in place and the result is a zero-copy view
         # (handle None = no segment; workers then return their blocks)
-        table = tablestore.create_table(net.n_nodes, len(dests))
+        table = tablestore.create_table(
+            net.n_nodes, len(dests), resolve_workers(self.workers, len(parts)))
         tasks = [
             (idx, list(subset), layer_seeds[idx], table.handle,
              [dest_col[d] for d in subset])
             for idx, subset in enumerate(parts)
         ]
-        try:
-            outcomes = run_layer_tasks(
-                _route_layer, (net, layer_cfg), tasks, workers=self.workers
-            )
-            stats: Dict[str, object] = {
-                "layers": [],
-                "fallbacks": 0,
-                "islands_resolved": 0,
-                "shortcuts_taken": 0,
-                "cycle_searches": 0,
-            }
+        outcomes = run_layer_tasks(
+            _route_layer, (net, layer_cfg), tasks, workers=self.workers
+        )
+        stats: Dict[str, object] = {
+            "layers": [],
+            "fallbacks": 0,
+            "islands_resolved": 0,
+            "shortcuts_taken": 0,
+            "cycle_searches": 0,
+        }
 
-            # merge column blocks back in layer order: partitions are
-            # disjoint, so the scatter is conflict-free and the result
-            # is bit-identical to the serial in-place writes.  A None
-            # block was already written into the shm table by its
-            # worker (the zero-copy path)
-            for layer_idx, block, layer_stats in outcomes:
-                if block is not None:
-                    cols = [dest_col[d] for d in parts[layer_idx]]
-                    table.next_channel[:, cols] = block
-                    table.vl[:, cols] = layer_idx
-                stats["layers"].append(layer_stats)  # type: ignore[union-attr]
-                stats["fallbacks"] += layer_stats["fallbacks"]  # type: ignore[operator]
-                stats["islands_resolved"] += layer_stats["islands_resolved"]  # type: ignore[operator]
-                stats["shortcuts_taken"] += layer_stats["shortcuts_taken"]  # type: ignore[operator]
-                stats["cycle_searches"] += layer_stats["cycle_searches"]  # type: ignore[operator]
-        except BaseException:
-            # KeyboardInterrupt / pool death mid-route: the segment
-            # must not outlive the failed request
-            table.release()
-            raise
+        # merge column blocks back in layer order: partitions are
+        # disjoint, so the scatter is conflict-free and the result is
+        # bit-identical to the serial in-place writes.  A None block
+        # was already written into the shm table by its worker (the
+        # zero-copy path)
+        for layer_idx, block, layer_stats in outcomes:
+            if block is not None:
+                cols = [dest_col[d] for d in parts[layer_idx]]
+                table.next_channel[:, cols] = block
+                table.vl[:, cols] = layer_idx
+            stats["layers"].append(layer_stats)  # type: ignore[union-attr]
+            stats["fallbacks"] += layer_stats["fallbacks"]  # type: ignore[operator]
+            stats["islands_resolved"] += layer_stats["islands_resolved"]  # type: ignore[operator]
+            stats["shortcuts_taken"] += layer_stats["shortcuts_taken"]  # type: ignore[operator]
+            stats["cycle_searches"] += layer_stats["cycle_searches"]  # type: ignore[operator]
 
         result = RoutingResult(
             net=net,

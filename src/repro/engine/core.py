@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import traceback
 import warnings
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -205,6 +206,13 @@ def _run_pool(
                 if events:
                     obs.replay(events)
                 out.append(result)
+    except BaseException as exc:
+        # a task's error raised from its future is referenced by the
+        # future, and the future by the frames that collected it: a
+        # cycle that would pin the route's frames — and its fan-out
+        # table — until a gc pass.  Clearing the spent frames breaks it
+        traceback.clear_frames(exc.__traceback__)
+        raise
     finally:
         # scratch segments are per call: unlink as soon as every task
         # has attached (workers keep their mapping until cache eviction)

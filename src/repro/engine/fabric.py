@@ -26,8 +26,9 @@ policies sit on top:
   are packed into one per-call segment (:func:`export_arrays`) instead
   of being re-pickled for every task, and unlinked by the engine right
   after the fan-out (:func:`release_ctx`).
-* **route tables** — one writable segment per route request with a
-  single owner, :class:`repro.engine.tablestore.RouteTable`.
+* **route tables** — one writable segment per fan-out route request,
+  unlinked when its one owner,
+  :class:`repro.engine.tablestore.RouteTable`, goes.
 
 **Persistent pool.** :func:`get_pool` lazily creates one module-level
 ``ProcessPoolExecutor`` and reuses it across ``route()`` calls and
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import mmap
 import os
 import sys
 import threading
@@ -134,20 +136,26 @@ class SegmentMember:
 
 class _Mapping:
     """This process's mapping of one segment: the ``SharedMemory``
-    object (kept next to the views — ``close()`` unmaps on some stacks
-    even while numpy views are alive), writable views per layout key,
-    the owning policy's ``kind`` (owner side only) and the network
-    rehydrated over the views, which dies with the mapping."""
+    object (closed at once, kept only to unlink by name), writable
+    views per layout key, the owning policy's ``kind`` (owner side
+    only) and the network rehydrated over the views.
+
+    The views map the segment through their own ``mmap``, which every
+    view — and every slice derived from one — keeps alive: neither an
+    unlink, a closed ``SharedMemory``, an evicted attach nor
+    :func:`shutdown` can unmap memory under a live array.  The mapping
+    goes when its last array does."""
 
     __slots__ = ("shm", "handle", "views", "kind", "net")
 
     def __init__(self, shm, handle: SegmentHandle,
                  kind: Optional[str] = None) -> None:
+        buf = memoryview(mmap.mmap(shm._fd, shm.size))
+        shm.close()
         self.shm = shm
         self.handle = handle
         self.views: Dict[str, np.ndarray] = {
-            key: np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                            offset=offset)
+            key: np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
             for key, dtype, shape, offset in handle.layout
         }
         self.kind = kind
@@ -156,7 +164,8 @@ class _Mapping:
 
 #: segments this process created and must unlink: name -> mapping.
 #: :func:`shutdown` (and atexit behind it) drains it, so no segment can
-#: outlive the process even when a caller forgot its release.
+#: outlive the process — a network export whose release was forgotten
+#: included.
 _owned: Dict[str, _Mapping] = {}
 #: segments another process owns, mapped here: a true LRU, so a long
 #: campaign's workers hold at most ``_ATTACH_CAPACITY`` mappings and a
@@ -181,12 +190,21 @@ def _register_cleanup() -> None:
         atexit.register(_atexit_cleanup)
 
 
+def _is_owner() -> bool:
+    # forked pool workers inherit the owner map, the atexit handler
+    # and every table finalizer; only the creating process may unlink
+    return os.getpid() == _owner_pid
+
+
 def _atexit_cleanup() -> None:
-    # forked pool workers inherit this handler together with the
-    # owner map; only the creating process may unlink
-    if os.getpid() != _owner_pid:
-        return
-    shutdown(wait=False)
+    if _is_owner():
+        shutdown(wait=False)
+
+
+def _owner_unlink(handle: SegmentHandle) -> None:
+    """:func:`_unlink` for finalizers: a no-op outside the creator."""
+    if _is_owner():
+        _unlink(handle)
 
 
 def _alloc_raw(specs, seg_base: str):
@@ -266,7 +284,7 @@ def _open_segment(name: str):
 def _attach(handle: SegmentHandle) -> _Mapping:
     """This process's mapping of ``handle``'s segment.
 
-    In the owning process (``workers=1``, the serial fallback) that is
+    In the owning process (a fan-out that fell back to serial) that is
     the owner's mapping itself — callers write through the owner's
     views, no second mapping; elsewhere the attach LRU.  Raises
     ``OSError`` when the segment is gone."""
@@ -279,8 +297,7 @@ def _attach(handle: SegmentHandle) -> _Mapping:
         return mapping
     mapping = _Mapping(_open_segment(handle.segment), handle)
     while len(_attached) >= _ATTACH_CAPACITY:
-        _name, old = _attached.popitem(last=False)
-        _close(old.shm)
+        _attached.popitem(last=False)
     _attached[handle.segment] = mapping
     _count("fabric.segment_attaches")
     return mapping
@@ -292,25 +309,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _close(shm) -> None:
-    """Unmap this process's view of a segment; the segment itself
-    stays until its owner unlinks it."""
-    try:
-        shm.close()
-    except (BufferError, OSError):
-        pass
-
-
 def _unlink(handle: SegmentHandle) -> bool:
     """Unlink an owned segment.  Returns False — never a double unlink
     — when this process does not (or no longer) own it."""
     mapping = _owned.pop(handle.segment, None)
     if mapping is None:
         return False
-    # close and unlink independently so a close() failure can never
-    # leave a /dev/shm entry behind; other processes' mappings stay
-    # valid after unlink per POSIX
-    _close(mapping.shm)
+    # every mapping — this process's views included — stays valid
+    # after unlink per POSIX, until its last array goes
     try:
         mapping.shm.unlink()
     except (FileNotFoundError, OSError):  # pragma: no cover - races only
@@ -319,12 +325,10 @@ def _unlink(handle: SegmentHandle) -> bool:
 
 
 def _drain() -> None:
-    """Unlink everything owned, unmap everything attached."""
+    """Unlink everything owned, drop everything attached."""
     for mapping in list(_owned.values()):
         _unlink(mapping.handle)
-    while _attached:
-        _name, mapping = _attached.popitem()
-        _close(mapping.shm)
+    _attached.clear()
 
 
 def _member_for(arr: np.ndarray) -> Optional[SegmentMember]:

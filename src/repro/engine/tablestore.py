@@ -7,36 +7,34 @@ dominant allocation of a route — ~500 MB all-to-all — and a layer
 block returned by value crosses the worker pipe as a pickle before
 the parent scatters it into yet another private allocation.
 
-The table store removes every one of those copies.  The parent
-preallocates **one** writable ``/dev/shm`` segment per route request
-(:func:`create_table`), fan-out workers attach it and write their
-destination shard's columns straight into column-sliced views
-(:func:`write_columns` — counted as ``fabric.table_writes``), and the
-parent assembles the :class:`~repro.routing.base.RoutingResult` over
-zero-copy views of the very same mapping.
+The table store removes every one of those copies when a route fans
+out.  The parent preallocates **one** writable ``/dev/shm`` segment
+for the request (:func:`create_table`), fan-out workers attach it and
+write their destination shard's columns straight into column-sliced
+views (:func:`write_columns` — counted as ``fabric.table_writes``),
+and the parent assembles the :class:`~repro.routing.base.RoutingResult`
+over zero-copy views of the very same mapping.  A route that runs on
+one worker has nobody to share with: its table is private memory.
 
-This is the third ownership policy over the fabric's one segment
-mechanism (:mod:`repro.engine.fabric`), and the simplest: a table has
-exactly one owner, its :class:`RouteTable`, held by the result it was
-attached to.  The owner unlinks it — via ``RoutingResult.release()``,
-:func:`repro.engine.fabric.shutdown` or ``atexit``, whichever comes
-first.  Consumers that need the data past the segment's life call
-``RoutingResult.materialize()`` (one private copy, then release), and
-``copy.deepcopy`` of a result detaches it from the store entirely (the
-engine route cache relies on this).
+A table frees itself.  Its :class:`RouteTable` unlinks the segment's
+name when the last reference to it goes, and the memory stays mapped
+for as long as any array over it — a result's ``next_channel``, a
+slice of it — is alive (see :class:`repro.engine.fabric._Mapping`).
+``release()`` is an optional early free; ``fabric.shutdown()`` and
+``atexit`` unlink whatever is left.  ``copy.deepcopy``
+of a result copies its arrays and drops the table (the engine route
+cache stores such copies).
 
-There is one fallback and the code observes its condition itself: when
-the segment cannot be allocated (no POSIX shm on the platform,
-``/dev/shm`` full), :func:`create_table` backs the same
-:class:`RouteTable` with private memory and ``handle`` is ``None``
-(``fabric.table_fallbacks``).  Callers run the same code either way;
-workers without a handle return their block in the task result and the
-parent merges it — bit-identical output, the store only changes where
-bytes live.
+When the segment of a fan-out table cannot be allocated (no POSIX shm
+on the platform, ``/dev/shm`` full), :func:`create_table` falls back to
+private memory too (``fabric.table_fallbacks``).  Workers without a
+handle return their block in the task result and the parent merges it
+— bit-identical output, the store only changes where bytes live.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,13 +56,14 @@ class RouteTable:
 
     ``next_channel`` and ``vl`` are writable ``(n_nodes, n_dests)``
     arrays; hand them to a :class:`~repro.routing.base.RoutingResult`
-    and the result is zero-copy.  Normally they are views over a shm
-    segment and ``handle`` is the picklable ticket workers attach;
-    when no segment could be allocated they are private arrays and
-    ``handle`` is ``None``.
+    and the result is zero-copy.  For a fan-out route they are views
+    over a shm segment, ``handle`` is the picklable ticket workers
+    attach and the segment is unlinked when this object goes;
+    otherwise they are private arrays and ``handle`` is ``None``.
     """
 
-    __slots__ = ("handle", "next_channel", "vl", "_released")
+    __slots__ = ("handle", "next_channel", "vl", "_released", "_unlink",
+                 "__weakref__")
 
     def __init__(self, next_channel: np.ndarray, vl: np.ndarray,
                  handle: Optional[SegmentHandle] = None) -> None:
@@ -72,6 +71,8 @@ class RouteTable:
         self.next_channel = next_channel
         self.vl = vl
         self._released = False
+        self._unlink = None if handle is None else \
+            weakref.finalize(self, fabric._owner_unlink, handle)
 
     @property
     def closed(self) -> bool:
@@ -82,17 +83,16 @@ class RouteTable:
             and self.handle.segment not in fabric._owned)
 
     def release(self) -> bool:
-        """Unlink the segment; True when this call did the release.
+        """Unlink the segment now; True when this call did the release.
 
-        Idempotent (releasing an already-unlinked table is a silent
-        no-op, never a double unlink).  Private arrays stay valid
-        after release — only shm views die with their segment.
+        Optional — dropping the table does the same — and idempotent
+        (never a double unlink).  The arrays stay valid either way.
         """
         if self.closed:
             return False
         self._released = True
-        if self.handle is not None:
-            fabric._unlink(self.handle)
+        if self._unlink is not None:
+            self._unlink()
             _count("fabric.table_releases")
         return True
 
@@ -114,39 +114,44 @@ class RouteTable:
         return f"RouteTable({where!r}, closed={self.closed})"
 
 
-def create_table(n_nodes: int, n_dests: int) -> RouteTable:
-    """One writable table for a route request, shm-resident if possible.
+def create_table(n_nodes: int, n_dests: int,
+                 workers: int = 1) -> RouteTable:
+    """One writable table for a route request on ``workers`` workers
+    (the count :func:`~repro.engine.core.resolve_workers` resolved).
 
     ``next_channel`` starts at -1 and ``vl`` at 0, matching
-    ``RoutingAlgorithm._empty_tables``.  When the segment cannot be
-    allocated the table is backed by private arrays instead
-    (``handle is None``, ``fabric.table_fallbacks``); callers do not
-    branch on which one they got.
+    ``RoutingAlgorithm._empty_tables``.  A fan-out (``workers > 1``)
+    gets a shm segment; one worker — or a segment that cannot be
+    allocated (``fabric.table_fallbacks``) — gets private arrays and
+    ``handle is None``.  Callers do not branch on which one they got.
     """
     shape = (n_nodes, n_dests)
-    try:
-        mapping = fabric._create("tbl", [
-            ("next_channel", np.dtype(np.int32).str, shape),
-            ("vl", np.dtype(np.int8).str, shape),
-        ])
-    except (OSError, ValueError, ImportError):
-        _count("fabric.table_fallbacks")
-        return RouteTable(np.full(shape, -1, dtype=np.int32),
-                          np.zeros(shape, dtype=np.int8))
-    table = RouteTable(mapping.views["next_channel"], mapping.views["vl"],
-                       mapping.handle)
-    # fresh /dev/shm pages are zero-filled, so only next_channel's -1
-    # sentinel needs writing; vl's zeros are already in place
-    table.next_channel.fill(-1)
-    _count("fabric.table_creates")
-    return table
+    if workers > 1:
+        try:
+            mapping = fabric._create("tbl", [
+                ("next_channel", np.dtype(np.int32).str, shape),
+                ("vl", np.dtype(np.int8).str, shape),
+            ])
+        except (OSError, ValueError, ImportError):
+            _count("fabric.table_fallbacks")
+        else:
+            table = RouteTable(mapping.views["next_channel"],
+                               mapping.views["vl"], mapping.handle)
+            # fresh /dev/shm pages are zero-filled, so only
+            # next_channel's -1 sentinel needs writing
+            table.next_channel.fill(-1)
+            _count("fabric.table_creates")
+            return table
+    return RouteTable(np.full(shape, -1, dtype=np.int32),
+                      np.zeros(shape, dtype=np.int8))
 
 
 def live_tables() -> Dict[str, Tuple[int, int]]:
     """Live owned tables as ``{segment: (n_nodes, n_dests)}``."""
+    # a snapshot: a table's finalizer may unlink one mid-iteration
     return {
         name: mapping.views["next_channel"].shape
-        for name, mapping in fabric._owned.items()
+        for name, mapping in list(fabric._owned.items())
         if mapping.kind == "tbl"
     }
 

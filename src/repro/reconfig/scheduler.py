@@ -329,8 +329,8 @@ def apply_plan(
             cols.append(old.next_channel[:, j])
             vls.append(old.vl[:, j])
     # a transition already holds the old and new tables live at once;
-    # the mixed state lands in its own table (column-wise writes, no
-    # np.stack staging copy)
+    # the mixed state lands in its own private table (column-wise
+    # writes, no np.stack staging copy; nothing fans out over it)
     table = tablestore.create_table(new.net.n_nodes, len(dests))
     for j, (c, v) in enumerate(zip(cols, vls)):
         table.next_channel[:, j] = c
@@ -343,7 +343,6 @@ def apply_plan(
         n_vls=max(old.n_vls, new.n_vls),
         algorithm=f"transition({old.algorithm}->{new.algorithm})",
     )
-    mixed.attach_table(table)
     return mixed
 
 
@@ -418,11 +417,8 @@ def verify_plan(
     assert all(which == "new" for which in final.values()), (
         "plan leaves destinations on their old tables")
     mixed = apply_plan(old, new, plan)
-    try:
-        assert list(mixed.dests) == list(new.dests)
-        assert np.array_equal(mixed.next_channel, new.next_channel), (
-            "final tables differ from the from-scratch routing")
-        assert np.array_equal(mixed.vl, new.vl)
-    finally:
-        mixed.release()
+    assert list(mixed.dests) == list(new.dests)
+    assert np.array_equal(mixed.next_channel, new.next_channel), (
+        "final tables differ from the from-scratch routing")
+    assert np.array_equal(mixed.vl, new.vl)
     return states

@@ -329,13 +329,7 @@ def run_campaign(
         )
         reports.append(report)
         base_net = report._next_net          # type: ignore[attr-defined]
-        superseded = current
         current = report._next_routing       # type: ignore[attr-defined]
-        if current is not superseded:
-            # the degraded routing replaces the old one: give its shm
-            # table segment back immediately instead of holding every
-            # generation of a long campaign until shutdown
-            superseded.release()
         del report._next_net, report._next_routing  # type: ignore[attr-defined]
         if obs.enabled():
             obs.count_many({

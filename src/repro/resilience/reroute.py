@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.nue import NueConfig, _LayerConfig, build_layer_state, plan_layers
-from repro.engine import run_layer_tasks, tablestore
+from repro.engine import resolve_workers, run_layer_tasks, tablestore
 from repro.network.faults import FaultResult
 from repro.network.graph import Network, as_network
 from repro.obs import core as obs
@@ -219,20 +219,24 @@ def incremental_reroute(
     layer_cfg = _LayerConfig.from_config(cfg, single_layer=len(parts) == 1)
     failed_list = sorted(failed)
 
+    dirty_layers = []
+    for idx, subset in enumerate(parts):
+        flags = [d in dirty for d in subset]
+        if any(flags):
+            dirty_layers.append((idx, subset, flags))
+
     # the repaired tables get their own table, prefilled with the
     # prior columns: retained (adopted) columns are thereby already
     # final in place, and repair workers stage their prior block from
     # the shm mapping instead of receiving it in the task pickle
     # (which carries it only when the table has no segment to attach)
-    table = tablestore.create_table(net.n_nodes, len(prior.dests))
+    table = tablestore.create_table(
+        net.n_nodes, len(prior.dests), resolve_workers(workers, len(dirty_layers)))
     table.next_channel[...] = prior.next_channel
     table.vl[...] = prior.vl
 
     tasks = []
-    for idx, subset in enumerate(parts):
-        flags = [d in dirty for d in subset]
-        if not any(flags):
-            continue
+    for idx, subset, flags in dirty_layers:
         cols = [prior.dest_index(d) for d in subset]
         block = None if table.handle is not None else \
             np.ascontiguousarray(prior.next_channel[:, cols])
@@ -254,11 +258,7 @@ def incremental_reroute(
         # disconnected survivor fabric (spanning tree) or a retained
         # column that cannot be re-marked: incremental repair cannot
         # keep its guarantees here
-        table.release()
         raise IncrementalNotApplicable(str(exc)) from exc
-    except BaseException:
-        table.release()
-        raise
 
     repaired = RoutingResult(
         net=net,

@@ -86,53 +86,20 @@ class RoutingResult:
         """Column index of destination node ``dest``."""
         return self._dest_index[dest]
 
-    # -- shm table ownership ---------------------------------------------------
+    # -- backing table ---------------------------------------------------------
 
     def attach_table(self, table) -> None:
-        """Adopt ownership of the backing table.
-
-        Called by algorithms whose ``next_channel``/``vl`` are the
-        arrays of a :class:`~repro.engine.tablestore.RouteTable` (shm
-        views, or private arrays when no segment could be allocated —
-        then every method below is a no-op).  Ownership is
-        single and explicit: whoever holds the result calls
-        :meth:`release` (or :meth:`materialize`) when done; the fabric's
-        ``shutdown``/``atexit`` sweep is the backstop.  A ``deepcopy``
-        of the result detaches automatically (private arrays, no
-        table), which is what the engine route cache stores.
-        """
+        """Hold the :class:`~repro.engine.tablestore.RouteTable` whose
+        arrays ``next_channel``/``vl`` are; its segment, if any, is
+        unlinked when the result goes."""
         self._table = table
 
-    @property
-    def shm_backed(self) -> bool:
-        """Whether the tables are views of a live shm table segment."""
-        table = self._table
-        return table is not None and table.handle is not None \
-            and not table.closed
-
     def release(self) -> None:
-        """Release the backing shm segment, if any (idempotent).
-
-        The table views die with the segment — only call when the
-        result's arrays are no longer needed (or were copied out, see
-        :meth:`materialize`).  Results without an shm table ignore
-        this, so consumers can release unconditionally.
-        """
+        """Unlink the backing segment now rather than when the result
+        goes (optional, idempotent; the arrays stay valid)."""
         table, self._table = self._table, None
         if table is not None:
             table.release()
-
-    def materialize(self) -> "RoutingResult":
-        """Detach from the shm store: private copies, segment released.
-
-        Returns self.  Use when a result must outlive the fabric (e.g.
-        it is handed to code that cannot see the release contract).
-        """
-        if self.shm_backed:
-            self.next_channel = np.array(self.next_channel, copy=True)
-            self.vl = np.array(self.vl, copy=True)
-        self.release()
-        return self
 
     def next_hop_channel(self, node: int, dest: int) -> int:
         """Forwarding channel at ``node`` toward ``dest`` (-1 if none/at dest)."""

@@ -181,24 +181,17 @@ class DORRouting(RoutingAlgorithm):
         raw_shards = shard_destinations(dests, workers)
         # column-offset shards so workers can scatter straight into the
         # request's table segment (handle None = no segment allocated)
-        table = tablestore.create_table(net.n_nodes, len(dests))
+        table = tablestore.create_table(net.n_nodes, len(dests), workers)
         shards: List[Tuple[Sequence[int], int]] = []
         col = 0
         for shard in raw_shards:
             shards.append((shard, col))
             col += len(shard)
-        try:
-            blocks = run_layer_tasks(_dor_columns, (net, table.handle),
-                                     shards, workers=workers)
-            for (shard, col0), block in zip(shards, blocks):
-                if block is not None:  # not written in place: merge here
-                    table.next_channel[:, col0:col0 + block.shape[1]] = \
-                        block
-        except BaseException:
-            # KeyboardInterrupt / pool death mid-route: the segment
-            # must not outlive the failed request
-            table.release()
-            raise
+        blocks = run_layer_tasks(_dor_columns, (net, table.handle),
+                                 shards, workers=workers)
+        for (shard, col0), block in zip(shards, blocks):
+            if block is not None:  # not written in place: merge here
+                table.next_channel[:, col0:col0 + block.shape[1]] = block
         result = RoutingResult(
             net=net,
             dests=dests,

@@ -91,12 +91,12 @@ def _gauge(name: str, value: float) -> None:
 class _NetworkCache:
     """LRU of admitted networks; admission pins a shm export.
 
-    Forwarding tables are never held here: every executor copies its
-    table out into the response and releases the segment before it
-    returns, so ``/dev/shm`` usage is bounded by ``capacity`` network
-    exports plus the table of the request on the lane.  Touched from
-    the compute lane only (``__len__`` aside), so the fabric's export
-    maps keep a single writer.
+    Forwarding tables are never held here: a fan-out table's segment
+    is unlinked when the executor's result goes, so ``/dev/shm`` usage
+    is bounded by ``capacity`` network exports plus the table of the
+    request on the lane.  Touched from the compute lane only
+    (``__len__`` aside), so the fabric's export maps keep a single
+    writer.
     """
 
     def __init__(self, capacity: int) -> None:

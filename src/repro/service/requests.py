@@ -140,10 +140,8 @@ class RouteResponse(WireMessage):
 
     ``next_channel``/``vl`` are int32/int8 ndarrays, exactly as the
     in-process :class:`~repro.routing.base.RoutingResult` carries them
-    (:meth:`result` rebuilds one).  The response always *owns* its
-    arrays — :meth:`from_result` copies out of an shm-backed result so
-    the caller is free to release the table segment immediately after
-    building the response.
+    (:meth:`result` rebuilds one); :meth:`from_result` shares the
+    result's arrays without copying.
     """
 
     algorithm: str = wire_field(TEXT)
@@ -163,17 +161,12 @@ class RouteResponse(WireMessage):
     @classmethod
     def from_result(cls, result: "Any",
                     fingerprint: str) -> "RouteResponse":
-        nxt, vl = result.next_channel, result.vl
-        if result.shm_backed:
-            # private copies: the shm table may be released (and its
-            # segment unmapped) the moment this response exists
-            nxt, vl = nxt.copy(), vl.copy()
         return cls(
             algorithm=result.algorithm,
             n_vls=int(result.n_vls),
             dests=[int(d) for d in result.dests],
-            next_channel=nxt,
-            vl=vl,
+            next_channel=result.next_channel,
+            vl=result.vl,
             runtime_s=float(result.runtime_s),
             stats=dict(result.stats),
             network_fingerprint=fingerprint,
@@ -489,9 +482,7 @@ def execute_route(request: RouteRequest, *,
         **request.config,
     )
     result = algo.route(net, dests=request.dests, seed=request.seed)
-    response = RouteResponse.from_result(result, fp)
-    result.release()
-    return response
+    return RouteResponse.from_result(result, fp)
 
 
 def execute_analyze(request: AnalyzeRequest, *,
@@ -552,17 +543,13 @@ def execute_campaign(request: CampaignRequest, *,
         workers=request.workers if request.workers is not None else workers,
     )
     data = result.to_dict()
-    response = CampaignResponse(
+    return CampaignResponse(
         events_total=int(data["events_total"]),
         events_survived=int(data["events_survived"]),
         report=data,
         final_vls=int(result.routing.n_vls),
         network_fingerprint=fp,
     )
-    # the campaign releases superseded states as it goes; the final
-    # routing's segment is ours to release once the report is built
-    result.routing.release()
-    return response
 
 
 def execute_reroute(request: RerouteRequest, *,
@@ -586,21 +573,16 @@ def execute_reroute(request: RerouteRequest, *,
         "nue", max_vls=request.max_vls, workers=eff_workers,
         **request.config,
     ).route(net, seed=request.seed)
-    try:
-        repaired, stats = incremental_reroute(
-            net, prior, request.failed_channels(net),
-            config=config, max_vls=request.max_vls, seed=request.seed,
-            workers=eff_workers,
-        )
-    finally:
-        prior.release()
-    response = RerouteResponse(
+    repaired, stats = incremental_reroute(
+        net, prior, request.failed_channels(net),
+        config=config, max_vls=request.max_vls, seed=request.seed,
+        workers=eff_workers,
+    )
+    return RerouteResponse(
         route=RouteResponse.from_result(repaired, fp),
         stats={k: v for k, v in stats.items()},
         network_fingerprint=fp,
     )
-    repaired.release()
-    return response
 
 
 def execute_transition(request: TransitionRequest, *,
@@ -627,14 +609,11 @@ def execute_transition(request: TransitionRequest, *,
         old_net = request.from_network() if scenario == "grow" else net
         old = _route_target(old_net, from_algo, from_vls, from_cfg,
                             from_seed, eff_workers)
-    try:
-        outcome = drive_transition(
-            scenario, old, net, request.algorithm, request.max_vls,
-            request.config, request.seed, eff_workers, request.strategy,
-        )
-    finally:
-        old.release()
-    response = TransitionResponse(
+    outcome = drive_transition(
+        scenario, old, net, request.algorithm, request.max_vls,
+        request.config, request.seed, eff_workers, request.strategy,
+    )
+    return TransitionResponse(
         scenario=outcome.scenario,
         strategy=outcome.plan.strategy,
         compatible=outcome.plan.compatible,
@@ -647,8 +626,6 @@ def execute_transition(request: TransitionRequest, *,
         route=RouteResponse.from_result(outcome.new, fp),
         network_fingerprint=fp,
     )
-    outcome.new.release()
-    return response
 
 
 #: op -> (request class, response class, executor): the one table the

@@ -407,7 +407,7 @@ class TestResultReturn:
         obs.enable(obs.MemorySink(keep_events=False))
         net = torus([4, 4], 4)
         result = DORRouting(workers=2).route(net, seed=5)
-        backed = result.shm_backed
+        backed = fabric._member_for(result.next_channel) is not None
         result.release()
         counts = dict(obs.counters())
         if not backed:

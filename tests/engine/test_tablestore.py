@@ -1,10 +1,15 @@
 """Shm-resident forwarding tables: single-owner lifecycle, zero-copy
-fan-out, the no-shm fallback and the crash/interrupt cleanup contract."""
+fan-out, private memory below fan-out, the no-shm fallback and the
+crash/interrupt cleanup contract."""
 
 import copy
 import errno
+import gc
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +24,18 @@ from repro.routing.dor import DORRouting
 
 pytestmark = pytest.mark.usefixtures("clean_fabric")
 
+#: the worker count a fan-out table is created for
+FANOUT = 2
+
+
+def _in_segment(result):
+    """Whether the result's tables are views of a live table segment."""
+    return fabric._member_for(result.next_channel) is not None
+
 
 class TestLifecycle:
     def test_create_write_read_release(self):
-        table = tablestore.create_table(8, 3)
+        table = tablestore.create_table(8, 3, FANOUT)
         assert table is not None
         assert table.next_channel.shape == (8, 3)
         assert (table.next_channel == -1).all()
@@ -42,41 +55,42 @@ class TestLifecycle:
         assert not _shm_leaks()
 
     def test_release_is_idempotent(self):
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         assert table.release()
         assert not table.release()
 
     def test_table_has_one_owner(self):
         # no refcount: the first release unlinks, and a table whose
         # segment the fabric drained reads as closed without one
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         assert not table.closed
         assert table.release()
         assert table.closed and not _shm_leaks()
-        forgotten = tablestore.create_table(4, 2)
+        forgotten = tablestore.create_table(4, 2, FANOUT)
         fabric.shutdown()
         assert forgotten.closed
         assert not forgotten.release()  # nothing left to unlink
 
     def test_shutdown_reaps_forgotten_tables(self):
-        tablestore.create_table(6, 4)
+        forgotten = tablestore.create_table(6, 4, FANOUT)
         assert tablestore.live_tables()
         fabric.shutdown()
         assert not tablestore.live_tables()
         assert not _shm_leaks()
+        assert forgotten.closed
 
     def test_segment_names_are_never_reused(self):
-        a = tablestore.create_table(4, 2)
+        a = tablestore.create_table(4, 2, FANOUT)
         name = a.handle.segment
         a.release()
-        b = tablestore.create_table(4, 2)
+        b = tablestore.create_table(4, 2, FANOUT)
         assert b.handle.segment != name
         b.release()
 
 
 class TestOwnershipSemantics:
     def test_shared_table_refuses_pickle(self):
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         try:
             with pytest.raises(TypeError, match="process-local"):
                 pickle.dumps(table)
@@ -88,32 +102,20 @@ class TestOwnershipSemantics:
 
     def test_deepcopy_of_result_detaches_from_store(self):
         net = torus([3, 3], 1)
-        result = DORRouting().route(net, seed=1)
-        if not result.shm_backed:
+        result = DORRouting(workers=FANOUT).route(net, seed=1)
+        if not _in_segment(result):
             result.release()
             pytest.skip("no shm on this platform")
         clone = copy.deepcopy(result)
-        assert not clone.shm_backed
+        assert not _in_segment(clone)
         np.testing.assert_array_equal(clone.next_channel,
                                       result.next_channel)
         result.release()
         # the copy's arrays survive the segment unlink
         assert int(clone.next_channel[0, 0]) == clone.next_channel[0, 0]
 
-    def test_materialize_copies_then_releases(self):
-        net = torus([3, 3], 1)
-        result = DORRouting().route(net, seed=1)
-        if not result.shm_backed:
-            result.release()
-            pytest.skip("no shm on this platform")
-        before = np.array(result.next_channel, copy=True)
-        assert result.materialize() is result
-        assert not result.shm_backed
-        assert not tablestore.live_tables()
-        np.testing.assert_array_equal(result.next_channel, before)
-
     def test_ticket_for_matches_only_live_views(self):
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         try:
             ticket = fabric._member_for(table.next_channel)
             assert ticket == fabric.SegmentMember(table.handle,
@@ -156,6 +158,16 @@ def _transition(net, workers):
     return mixed
 
 
+def _counted(scenario, net, workers):
+    """``scenario(net, workers)`` and the obs counters it bumped."""
+    obs.enable(obs.MemorySink(keep_events=False))
+    try:
+        return scenario(net, workers), dict(obs.counters())
+    finally:
+        obs.disable()
+        obs.reset()
+
+
 class TestFallbacks:
     """The one fallback: no segment can be allocated, so the table is
     private memory and workers return their blocks by value.  Nothing
@@ -171,7 +183,7 @@ class TestFallbacks:
 
     def test_create_table_falls_back_to_private_memory(self, monkeypatch):
         self._fill_dev_shm(monkeypatch)
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         assert table.handle is None
         assert (table.next_channel == -1).all()
         assert table.next_channel.dtype == np.int32
@@ -181,29 +193,32 @@ class TestFallbacks:
         # private arrays outlive the release
         assert table.next_channel.shape == (4, 2)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, FANOUT])
     @pytest.mark.parametrize("scenario", [
         _route_nue, _route_dor, _reroute, _transition])
     def test_no_shm_tables_are_bit_identical(self, scenario, workers,
                                              monkeypatch):
+        """A full ``/dev/shm`` changes where a fan-out's tables live,
+        never their bits; one worker never asks for a segment."""
         net = torus([3, 3, 3], 1)
-        with_shm = scenario(net, workers)
-        assert with_shm.shm_backed or not os.path.isdir("/dev/shm")
+        with_shm, counts = _counted(scenario, net, workers)
+        if workers > 1:
+            assert counts.get("fabric.table_creates", 0) >= 1 \
+                or not os.path.isdir("/dev/shm")
+        else:
+            assert counts.get("fabric.table_creates", 0) == 0
         expected = result_digest(with_shm)
         with_shm.release()
         fabric.shutdown()
 
         self._fill_dev_shm(monkeypatch)
-        obs.enable(obs.MemorySink(keep_events=False))
-        try:
-            without = scenario(net, workers)
-            counts = dict(obs.counters())
-        finally:
-            obs.disable()
-            obs.reset()
-        assert not without.shm_backed
+        without, counts = _counted(scenario, net, workers)
+        assert not _in_segment(without)
         assert result_digest(without) == expected
-        assert counts.get("fabric.table_fallbacks", 0) >= 1
+        if workers > 1:
+            assert counts.get("fabric.table_fallbacks", 0) >= 1
+        else:
+            assert counts.get("fabric.table_fallbacks", 0) == 0
         assert counts.get("fabric.table_creates", 0) == 0
         without.release()  # a no-op the consumers may call blindly
         assert result_digest(without) == expected
@@ -214,7 +229,7 @@ class TestFallbacks:
         assert not tablestore.write_columns(None, [0], block)
 
     def test_write_columns_zero_destination_shard(self):
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         try:
             empty = np.zeros((4, 0), dtype=np.int32)
             # a zero-column write is complete, not a fallback
@@ -224,7 +239,7 @@ class TestFallbacks:
             table.release()
 
     def test_write_columns_vanished_segment_falls_back(self):
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         handle = table.handle
         table.release()
         block = np.zeros((4, 1), dtype=np.int32)
@@ -237,7 +252,7 @@ class TestZeroCopyFanOut:
         obs.enable(obs.MemorySink(keep_events=False))
         try:
             result = DORRouting(workers=2).route(net, seed=7)
-            backed = result.shm_backed
+            backed = _in_segment(result)
             result.release()
             counts = dict(obs.counters())
         finally:
@@ -258,7 +273,7 @@ class TestZeroCopyFanOut:
         # below that, pack_ctx ships small arrays inline by design
         net = torus([6, 6], 8)
         result = DORRouting(workers=2).route(net, seed=7)
-        if not result.shm_backed:
+        if not _in_segment(result):
             result.release()
             pytest.skip("no shm on this platform")
         obs.enable(obs.MemorySink(keep_events=False))
@@ -273,6 +288,11 @@ class TestZeroCopyFanOut:
         result.release()
         assert counts.get("fabric.table_ctx_hits", 0) >= 1
         assert counts.get("fabric.scratch_exports", 0) == 0
+
+
+def _worker_dies(ctx, shard):
+    """Module-level, so a pool worker can run it in place of a shard."""
+    raise RuntimeError("worker died mid-write")
 
 
 class TestCrashCleanup:
@@ -290,12 +310,110 @@ class TestCrashCleanup:
 
     def test_worker_error_mid_route_unlinks_segment(self, monkeypatch):
         net = torus([3, 3], 1)
-
-        def boom(ctx, shard):
-            raise RuntimeError("worker died mid-write")
-
-        monkeypatch.setattr(dor, "_dor_columns", boom)
+        monkeypatch.setattr(dor, "_dor_columns", _worker_dies)
         with pytest.raises(RuntimeError, match="mid-write"):
-            DORRouting(workers=1).route(net, seed=1)
+            DORRouting(workers=FANOUT).route(net, seed=1)
         assert not tablestore.live_tables()
         assert not [s for s in _shm_leaks() if "tbl" in s]
+
+
+def _new_segments(before):
+    return sorted(set(_shm_leaks()) - set(before))
+
+
+class TestOwnership:
+    """Nobody releases anything: a table is private below fan-out and a
+    fan-out table's segment goes with its last reference."""
+
+    def test_serial_routes_create_no_segment(self):
+        net = torus([3, 3], 1)
+        before = _shm_leaks()
+        obs.enable(obs.MemorySink(keep_events=False))
+        try:
+            for seed in range(200):
+                make_algorithm("nue", max_vls=2, workers=1).route(
+                    net, seed=seed)
+            counts = dict(obs.counters())
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counts.get("fabric.table_creates", 0) == 0
+        assert _new_segments(before) == []
+
+    def test_dropped_fanout_routes_unlink_their_segments(self):
+        net = torus([3, 3], 1)
+        obs.enable(obs.MemorySink(keep_events=False))
+        try:
+            for seed in range(20):
+                make_algorithm("nue", max_vls=2, workers=2).route(
+                    net, seed=seed)
+            counts = dict(obs.counters())
+        finally:
+            obs.disable()
+            obs.reset()
+        gc.collect()
+        assert counts.get("fabric.table_creates", 0) == 20 \
+            or not os.path.isdir("/dev/shm")
+        assert tablestore.live_tables() == {}
+        assert not [s for s in _shm_leaks() if "tbl" in s]
+
+    def test_campaign_keeps_only_the_final_table(self):
+        from repro.resilience import FaultEvent, FaultSchedule, run_campaign
+
+        net = torus((3, 3, 3), terminals_per_switch=1)
+        s2s = [(u, v) for (u, v) in net.links()
+               if net.is_switch(u) and net.is_switch(v)]
+        names = net.node_names
+        schedule = FaultSchedule(events=[
+            FaultEvent(time=1.0 + i,
+                       links=((names[s2s[li][0]], names[s2s[li][1]]),))
+            for i, li in enumerate([0, 5, 9])
+        ])
+        res = run_campaign(net, schedule, max_vls=2, seed=11, workers=2)
+        assert all(r.ok for r in res.reports)
+        gc.collect()
+        live = tablestore.live_tables()
+        assert len(live) <= 1
+        if live:
+            assert _in_segment(res.routing)
+        del res
+        gc.collect()
+        assert tablestore.live_tables() == {}
+
+
+_READ_AFTER_SHUTDOWN = r"""
+import gc, hashlib, sys
+from repro import api
+from repro.network.topologies import torus
+from repro.routing import make_algorithm
+
+def digests(*arrays):
+    return [hashlib.blake2b(a.tobytes()).hexdigest() for a in arrays]
+
+result = make_algorithm("nue", max_vls=2, workers=int(sys.argv[1])).route(
+    torus([3, 3], 1), seed=3)
+nc = result.next_channel
+part = nc[1:5, ::2]
+before = digests(nc, part)
+del result
+gc.collect()
+api.shutdown_fabric()
+print(before == digests(nc, part), int(part.sum()) == int(nc[1:5, ::2].sum()))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tables_outlive_their_result_and_the_fabric(workers):
+    """Arrays of a dropped result — and slices of them — stay readable
+    after ``api.shutdown_fabric()`` (a dangling view used to SIGSEGV)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _READ_AFTER_SHUTDOWN,
+         str(workers)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
+    assert "Exception ignored" not in proc.stderr

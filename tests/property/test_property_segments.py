@@ -28,6 +28,8 @@ from repro.network.topologies import ring
 
 NETS = [ring(n, 1) for n in (4, 5, 6)]
 BIG = np.zeros(fabric.SCRATCH_MIN_BYTES // 8 + 8)
+#: the worker count a segment-backed table is created for
+FANOUT = 2
 
 
 class SegmentLifecycle(RuleBasedStateMachine):
@@ -115,7 +117,7 @@ class SegmentLifecycle(RuleBasedStateMachine):
 
     @rule(target=tables)
     def create_table(self):
-        table = tablestore.create_table(4, 2)
+        table = tablestore.create_table(4, 2, FANOUT)
         assert table.handle is not None
         self.live[id(table)] = table
         self.all_tables.append(table)

@@ -332,9 +332,10 @@ class TestRouteResponse:
 
         response = execute_route(RouteRequest(topology=net,
                                               algorithm="nue",
-                                              max_vls=2, seed=3))
-        # executors settle the shm table before returning: the response
-        # must stay readable with no live segment behind it
+                                              max_vls=2, seed=3,
+                                              workers=2))
+        # the route's table goes with its result: the response must
+        # stay readable with no live segment behind it
         assert not tablestore.live_tables()
         nxt = response.next_channel_array()
         assert nxt.shape[0] == net.n_nodes
