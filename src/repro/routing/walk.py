@@ -38,6 +38,7 @@ __all__ = [
     "LOOP",
     "VL_BITS",
     "WalkBlock",
+    "raise_no_route",
     "walk",
     "shard_walk",
     "switch_channel_mask",
@@ -111,10 +112,8 @@ class WalkBlock:
         """
         bad = np.flatnonzero(self.hops < 0)
         if bad.size:
-            pair = int(self.src[bad[0]]), int(self.dest[bad[0]])
-            result.path(*pair)
-            raise RoutingError(f"table walk found no route for pair "
-                               f"{pair}, but path() follows one")
+            raise_no_route(result, int(self.src[bad[0]]),
+                           int(self.dest[bad[0]]))
 
     def routed_channels(self) -> np.ndarray:
         """Every channel crossing of the block's routed pairs."""
@@ -144,6 +143,13 @@ class WalkBlock:
         for t, (pair, chan) in enumerate(self.steps):
             channel[ptr[pair] + t] = chan
         return ptr, channel
+
+
+def raise_no_route(result: RoutingResult, src: int, dest: int) -> None:
+    """Raise ``result.path``'s error for a pair a walk found unroutable."""
+    result.path(src, dest)
+    raise RoutingError(f"table walk found no route for pair "
+                       f"{(src, dest)}, but path() follows one")
 
 
 def _walk_block(
