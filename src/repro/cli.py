@@ -28,12 +28,9 @@ from repro.io import (
     save_tables_npz,
     save_topology,
 )
-from repro.metrics import (
-    gamma_summary,
-    path_length_stats,
-    validate_routing,
-)
+from repro.metrics import validate_routing
 from repro.metrics.deadlock import DeadlockAnalysis
+from repro.metrics.report import gamma_and_path_lengths
 from repro.network.faults import (
     inject_random_link_faults,
     inject_random_switch_faults,
@@ -215,8 +212,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         deadlock = DeadlockAnalysis(result)
         dl_free = deadlock.deadlock_free
         required = deadlock.required_vcs()
-        g = gamma_summary(result, workers=args.workers)
-        p = path_length_stats(result, workers=args.workers)
+        g, p = gamma_and_path_lengths(result, workers=args.workers)
     except RoutingError as exc:  # a hole or a forwarding loop
         print(f"invalid tables: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ working process pool (or pickling-hostile callables) lose nothing but
 speed.  A pool that dies mid-run (``BrokenProcessPool``) is discarded
 and respawned once; when the retry also fails — or the pool cannot be
 created at all — the engine logs one warning and runs the tasks
-serially in-process.
+serially in-process.  A task's own exception is re-raised as is.
 
 Observability
 -------------
@@ -122,14 +122,15 @@ def run_layer_tasks(
     picklable when ``workers > 1`` (Network values in ``ctx`` travel
     via shared memory, not pickle).  Falls back to the in-process
     serial path (with a single warning) whenever the process pool
-    cannot be used, so callers never need a platform check.
+    cannot be used, so callers never need a platform check.  ``fn``'s
+    own first exception, in task order, is re-raised and never rerun.
     """
     budget = worker_budget(workers)
     n = max(1, min(budget, len(tasks)))
     if n <= 1:
         return [fn(ctx, task) for task in tasks]
     try:
-        return _run_pool(fn, ctx, tasks, n, budget)
+        out = _run_pool(fn, ctx, tasks, n, budget)
     except (BrokenProcessPool, pickle.PicklingError, AttributeError,
             ImportError, OSError, ValueError) as exc:
         warnings.warn(
@@ -139,6 +140,10 @@ def run_layer_tasks(
             stacklevel=2,
         )
         return [fn(ctx, task) for task in tasks]
+    for result in out:
+        if isinstance(result, fabric.TaskFailure):
+            result.reraise()
+    return out
 
 
 def _collect(fn: Callable[[Any, Any], Any], packed: Any,
@@ -192,14 +197,13 @@ def _run_pool(
     ctx: Any,
     tasks: Sequence[Any],
     n: int,
-    pool_workers: Optional[int] = None,
+    pool_workers: int,
 ) -> List[Any]:
     capture = obs.enabled()
     packed, _pickled = fabric.pack_ctx(ctx)
-    pool_n = pool_workers if pool_workers is not None else n
     try:
         with obs.span("engine.pool", workers=n, tasks=len(tasks)):
-            collected = _collect(fn, packed, tasks, capture, pool_n,
+            collected = _collect(fn, packed, tasks, capture, pool_workers,
                                  respawn=True)
             out: List[Any] = []
             for result, events in collected:
@@ -207,7 +211,7 @@ def _run_pool(
                     obs.replay(events)
                 out.append(result)
     except BaseException as exc:
-        # a task's error raised from its future is referenced by the
+        # a pool error raised from a future is referenced by the
         # future, and the future by the frames that collected it: a
         # cycle that would pin the route's frames — and its fan-out
         # table — until a gc pass.  Clearing the spent frames breaks it

@@ -60,11 +60,13 @@ algorithms (see ``docs/engine.md``).
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import mmap
 import os
 import sys
 import threading
+import traceback
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -616,9 +618,9 @@ _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 _pool_spawns = 0
 _pool_bus: Any = None  # live-bus handle the current pool was spawned with
-#: get_pool/discard_pool may be entered from the service's compute lane
-#: concurrently with the main thread; spawning must be single-flight
-_pool_lock = threading.Lock()
+#: spawn/discard stay single-flight against :func:`shutdown` on another
+#: thread: ``shutdown_fabric()`` mid-route, the atexit hook
+_pool_lock = threading.RLock()
 
 
 def _init_fabric_worker(bus_handle: Any = None) -> None:
@@ -633,6 +635,32 @@ def _init_fabric_worker(bus_handle: Any = None) -> None:
         live.detach_worker()
 
 
+class TaskFailure:
+    """An exception ``fn`` raised in a worker, returned as its result so
+    the parent can tell it from the pool's own failures (a dead worker,
+    a result that does not pickle); the traceback travels as text."""
+
+    def __init__(self, exc: Exception) -> None:
+        self.exc, self.traceback = exc, traceback.format_exc()
+
+    @classmethod
+    def call(cls, fn, ctx: Any, task: Any) -> Any:
+        """``fn(ctx, task)``, or a carrier of what it raised."""
+        try:
+            return fn(ctx, task)
+        except Exception as exc:
+            return cls(exc)
+
+    def reraise(self) -> None:
+        """Raise the exception as is, once."""
+        exc, self.exc = self.exc, None  # no cycle through this carrier
+        exc.__cause__ = RuntimeError(f"in an engine worker:\n{self.traceback}")
+        try:
+            raise exc
+        finally:
+            del exc
+
+
 def _run_fabric_task(fn, ctx: Any, task: Any,
                      capture_obs: bool) -> Tuple[Any, List[dict]]:
     """Execute one engine task in a pool worker.
@@ -642,8 +670,9 @@ def _run_fabric_task(fn, ctx: Any, task: Any,
     any single ``run_layer_tasks`` call.  With a live bus attached the
     events stream to the parent as they happen (plus heartbeats) and
     only a forwarded/dropped summary is returned; otherwise the raw
-    event list rides back for replay.
+    event list rides back for replay.  See :class:`TaskFailure`.
     """
+    fn = functools.partial(TaskFailure.call, fn)
     if not capture_obs:
         return fn(unpack_ctx(ctx), task), []
     if live.worker_publisher() is not None:
@@ -670,11 +699,10 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers, _pool_spawns, _pool_bus
     with _pool_lock:
         bus = live.bus_handle()
-        if _pool is not None and getattr(_pool, "_broken", False):
-            _discard_pool_locked(wait=False)
-        if _pool is not None and (_pool_workers < workers
+        broken = getattr(_pool, "_broken", False)
+        if _pool is not None and (broken or _pool_workers < workers
                                   or _pool_bus is not bus):
-            _discard_pool_locked()
+            discard_pool(wait=not broken)
         if _pool is None:
             _pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_fabric_worker,
@@ -690,20 +718,16 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
         return _pool
 
 
-def _discard_pool_locked(wait: bool = True) -> None:
-    global _pool, _pool_workers
-    pool, _pool, _pool_workers = _pool, None, 0
-    if pool is not None:
-        try:
-            pool.shutdown(wait=wait, cancel_futures=True)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
-
 def discard_pool(wait: bool = True) -> None:
     """Tear down the persistent pool (respawned lazily on next use)."""
-    with _pool_lock:
-        _discard_pool_locked(wait=wait)
+    global _pool, _pool_workers
+    with _pool_lock:  # re-entered from get_pool
+        pool, _pool, _pool_workers = _pool, None, 0
+        if pool is not None:
+            try:
+                pool.shutdown(wait=wait, cancel_futures=True)
+            except Exception:  # pragma: no cover - interpreter shutdown
+                pass
 
 
 def pool_stats() -> Dict[str, int]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.experiments.report import assert_facts, check_or_exit, render_table
 from repro.io.tables import save_experiment
-from repro.metrics import gamma_summary, path_length_stats
+from repro.metrics.report import gamma_and_path_lengths
 from repro.network.topologies import random_topology
 from repro.routing import make_algorithm
 from repro.utils.prng import make_rng, spawn_seed
@@ -65,8 +65,7 @@ def run(
             else:
                 algo = make_algorithm(lab, max_vls=64)
             result = algo.route(net, seed=run_seed)
-            g = gamma_summary(result)
-            p = path_length_stats(result)
+            g, p = gamma_and_path_lengths(result)
             acc[lab]["min"].append(g.minimum)
             acc[lab]["max"].append(g.maximum)
             acc[lab]["avg"].append(g.average)

@@ -3,21 +3,21 @@
 The paper compares Nue's path lengths against the shortest-path
 algorithms: maximum path length (Nue 7–10 at small k vs 6 for
 DFSSSP/LASH on the random topologies) and averages.  Lengths are the
-hop counts of the table walk (:mod:`repro.routing.walk`), counting
-terminal-to-terminal hops.
+hop counts of the table walk's census
+(:func:`repro.routing.walk.census`), counting terminal-to-terminal
+hops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.network.graph import Network
 from repro.obs import core as obs
 from repro.routing.base import RoutingResult
-from repro.routing.walk import shard_walk, walk
+from repro.routing.walk import census, walk
 
 __all__ = ["PathLengthStats", "path_length_stats", "tree_depths"]
 
@@ -28,21 +28,6 @@ def tree_depths(result: RoutingResult, j: int) -> np.ndarray:
     (blk,) = walk(net, result.next_channel, result.dests,
                   range(net.n_nodes), [j])
     return np.maximum(blk.hops, -1).astype(np.int64)
-
-
-def _lengths_task(
-    ctx: Tuple[Network, np.ndarray, np.ndarray, np.ndarray],
-    shard: Sequence[int],
-) -> np.ndarray:
-    """Worker: ``pairs[length]`` histogram over one shard of columns.
-
-    Self-pairs and pairs without a route are dropped.  The integer
-    histograms of any sharding sum to the serial one.
-    """
-    pairs = np.zeros(ctx[0].n_nodes + 1, dtype=np.int64)
-    for blk in walk(*ctx, shard):
-        pairs += np.bincount(blk.hops[blk.hops > 0], minlength=pairs.size)
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -66,15 +51,13 @@ def path_length_stats(
 ) -> PathLengthStats:
     """Hop-count stats for routes from ``sources`` (default terminals).
 
-    The column walks shard over the engine's worker pool (engine
-    ``workers`` convention); the integer length histograms of the
-    shards sum to the serial one, and every statistic derives from it.
+    A view of :func:`~repro.routing.walk.census` (engine ``workers``).
     """
-    net = result.net
-    if sources is None:
-        sources = net.terminals
-    pairs = np.sum(shard_walk(_lengths_task, result, sources, workers),
-                   axis=0)
+    return summarise_path_lengths(census(result, sources, workers).hops)
+
+
+def summarise_path_lengths(pairs: np.ndarray) -> PathLengthStats:
+    """:class:`PathLengthStats` of a census ``hops`` histogram."""
     used = np.flatnonzero(pairs)
     if used.size == 0:
         return PathLengthStats(0, 0, 0.0, 0, {})

@@ -9,20 +9,21 @@ so comparisons like Fig. 1's table are one call per routing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.metrics.deadlock import DeadlockAnalysis
-from repro.metrics.forwarding_index import GammaSummary, gamma_summary
+from repro.metrics.forwarding_index import GammaSummary, summarise_gamma
 from repro.metrics.layers import layer_balance
-from repro.metrics.path_stats import PathLengthStats, path_length_stats
+from repro.metrics.path_stats import PathLengthStats, summarise_path_lengths
 from repro.metrics.validate import (
     ValidationError,
     cycle_message,
     validate_routing,
 )
 from repro.routing.base import RoutingResult
+from repro.routing.walk import census
 
-__all__ = ["QualityReport", "quality_report"]
+__all__ = ["QualityReport", "quality_report", "gamma_and_path_lengths"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,17 @@ class QualityReport:
         return "\n".join(lines)
 
 
+def gamma_and_path_lengths(
+    result: RoutingResult,
+    sources: Optional[Sequence[int]] = None,
+    workers: Optional[int] = None,
+) -> Tuple[GammaSummary, PathLengthStats]:
+    """``gamma_summary`` and ``path_length_stats`` from one census."""
+    pairs = census(result, sources, workers)
+    return (summarise_gamma(result.net, pairs.channel_routes),
+            summarise_path_lengths(pairs.hops))
+
+
 def quality_report(
     result: RoutingResult,
     sources: Optional[Sequence[int]] = None,
@@ -77,6 +89,7 @@ def quality_report(
     deadlock = DeadlockAnalysis(result)
     if valid and not deadlock.deadlock_free:
         valid, error = False, cycle_message(result, deadlock.cycle())[:120]
+    gamma, path_lengths = gamma_and_path_lengths(result, sources)
     return QualityReport(
         algorithm=result.algorithm,
         network=result.net.name,
@@ -85,8 +98,8 @@ def quality_report(
         validity_error=error,
         deadlock_free=deadlock.deadlock_free,
         required_vcs=deadlock.required_vcs(),
-        gamma=gamma_summary(result, sources),
-        path_lengths=path_length_stats(result, sources),
+        gamma=gamma,
+        path_lengths=path_lengths,
         layer_balance=layer_balance(result, sources),
         runtime_s=result.runtime_s,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.metrics.deadlock import DeadlockAnalysis
 from repro.routing.base import RoutingError, RoutingResult
-from repro.routing.walk import BLOCK_COLS, walk
+from repro.routing.walk import BLOCK_COLS, census, raise_no_route
 
 __all__ = ["ValidationError", "validate_routing"]
 
@@ -81,9 +81,10 @@ def validate_routing(
 
     _check_entries_leave_their_node(result)
 
-    for blk in walk(net, result.next_channel, result.dests, sources):
+    first = census(result, sources, workers=1).first_unrouted
+    if first is not None:
         try:
-            blk.require_routed(result)
+            raise_no_route(result, *first)
         except RoutingError as exc:  # missing route / forwarding loop
             raise ValidationError(str(exc)) from exc
 

@@ -62,7 +62,7 @@ from repro.resilience.reroute import (
 )
 from repro.routing.base import RoutingError, RoutingResult
 from repro.routing.registry import make_algorithm
-from repro.routing.walk import shard_walk, walk
+from repro.routing.walk import census
 from repro.utils.prng import SeedLike
 
 __all__ = [
@@ -188,34 +188,15 @@ class CampaignResult:
         }
 
 
-def _reachable_task(ctx, shard) -> Tuple[int, int]:
-    """Worker: (reachable, total) pair counts for one shard of columns.
-
-    The counts are plain integer sums, so any sharding merges exactly.
-    """
-    reachable = 0
-    total = 0
-    for blk in walk(*ctx, shard):
-        reachable += int((blk.hops > 0).sum())
-        total += int((blk.hops != 0).sum())  # 0 hops: a self-pair
-    return reachable, total
-
-
 def _reachable_pairs(
     result: RoutingResult, workers: Optional[int] = None
 ) -> Tuple[int, int]:
-    """Count (terminal source, destination) pairs with a table route.
-
-    The column walks shard over the engine's worker pool (engine
-    ``workers`` convention); the integer counts merge exactly, so the
-    result matches serial for any worker count.
-    """
+    """``(routed, routed + unrouted)`` (terminal source, destination)
+    pairs of the table's census (engine ``workers`` convention)."""
     net = result.net
-    sources = net.terminals or range(net.n_nodes)
-    parts = shard_walk(_reachable_task, result, sources, workers)
-    reachable = sum(p[0] for p in parts)
-    total = sum(p[1] for p in parts)
-    return reachable, total
+    pairs = census(result, net.terminals or range(net.n_nodes), workers)
+    routed = int(pairs.hops.sum())
+    return routed, routed + pairs.unrouted
 
 
 def _chain_attempts(max_vls: int) -> List[Tuple[str, str, int]]:

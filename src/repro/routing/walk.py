@@ -17,13 +17,14 @@ The walk is column-blocked: :data:`BLOCK_COLS` destination columns are
 staged contiguously and walked together, so the live state is
 ``n_sources x BLOCK_COLS`` pairs however large the table is, and a
 consumer folds each :class:`WalkBlock` into its own small aggregate
-before the next one is produced.
+before the next one is produced.  :func:`census` is the one
+pool-sharded fold behind connectivity, γ, path lengths and reachability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +41,8 @@ __all__ = [
     "WalkBlock",
     "raise_no_route",
     "walk",
-    "shard_walk",
+    "Census",
+    "census",
     "switch_channel_mask",
     "vl_field",
     "vc_nodes",
@@ -114,16 +116,6 @@ class WalkBlock:
         if bad.size:
             raise_no_route(result, int(self.src[bad[0]]),
                            int(self.dest[bad[0]]))
-
-    def routed_channels(self) -> np.ndarray:
-        """Every channel crossing of the block's routed pairs."""
-        if not self.steps:
-            return np.empty(0, dtype=np.int32)
-        chan = np.concatenate([c for _, c in self.steps])
-        if (self.hops < 0).any():
-            pair = np.concatenate([p for p, _ in self.steps])
-            chan = chan[self.hops[pair] > 0]
-        return chan
 
     def paths(self) -> Tuple[np.ndarray, np.ndarray]:
         """The recorded hops pair-major: ``(ptr, channel)``.
@@ -220,29 +212,58 @@ def walk(
         yield out
 
 
-def shard_walk(
-    task: Callable[[Any, Sequence[int]], Any],
-    result: RoutingResult,
-    sources: Sequence[int],
-    workers: Optional[int],
-) -> List[Any]:
-    """Fold ``sources x result.dests`` shard by shard on the engine pool.
+@dataclass(frozen=True)
+class Census:
+    """Route counts of ``sources x dests``; see :func:`census`."""
 
-    ``task(ctx, cols)`` — a module-level function, ``ctx`` being
-    :func:`walk`'s first four arguments — folds ``walk(*ctx, cols)``
-    into a small aggregate; the aggregates come back in column order.
-    ``workers`` follows the engine convention (``None`` = default,
-    ``0`` = all cores); the table crosses to the workers as an shm
-    ticket or one scratch segment.  Integer aggregates of any sharding
-    sum to the serial ones.
+    channel_routes: np.ndarray  # int64[n_channels]: routed pairs per channel
+    hops: np.ndarray  # int64[n_nodes + 1]: routed pairs per route length
+    unrouted: int  # pairs that hit a -1 hole or a forwarding loop
+    first_unrouted: Optional[Tuple[int, int]]  # dest-major, then sources
+
+
+def _census_shard(ctx: tuple, cols: Sequence[int]) -> Census:
+    """Worker: the census of one contiguous run of columns."""
+    channel_routes = np.zeros(ctx[0].n_channels, dtype=np.int64)
+    hops = np.zeros(ctx[0].n_nodes + 1, dtype=np.int64)
+    unrouted, first = 0, None
+    for blk in walk(*ctx, cols):
+        chan = np.concatenate([c for _, c in blk.steps]
+                              or [np.empty(0, dtype=np.int32)])
+        routed = blk.hops >= 0
+        if not routed.all():
+            chan = chan[routed[np.concatenate([p for p, _ in blk.steps])]]
+            bad = np.flatnonzero(~routed)
+            unrouted += bad.size
+            if first is None:
+                first = (int(blk.src[bad[0]]), int(blk.dest[bad[0]]))
+        channel_routes += np.bincount(chan, minlength=channel_routes.size)
+        hops += np.bincount(blk.hops[blk.hops > 0], minlength=hops.size)
+    return Census(channel_routes, hops, unrouted, first)
+
+
+def census(result: RoutingResult, sources: Optional[Sequence[int]] = None,
+           workers: Optional[int] = None) -> Census:
+    """Fold the routes of ``sources`` (default: terminals) x ``dests``.
+
+    Contiguous column shards run on the engine pool (engine ``workers``
+    convention); their counts sum and the earliest shard's first
+    unrouted pair wins, so the census is the same for any worker count.
     """
-    n_dests = len(result.dests)
-    n = resolve_workers(workers, n_dests)
-    ctx = (result.net, result.next_channel,
-           np.asarray(result.dests, dtype=np.intp),
-           np.asarray(sources, dtype=np.intp))
-    return run_layer_tasks(task, ctx, shard_destinations(range(n_dests), n),
-                           workers=n)
+    net = result.net
+    dests = np.asarray(result.dests, dtype=np.intp)
+    n = resolve_workers(workers, dests.size)
+    sources = net.terminals if sources is None else sources
+    ctx = (net, result.next_channel, dests, np.asarray(sources, np.intp))
+    parts = run_layer_tasks(_census_shard, ctx,
+                            shard_destinations(range(dests.size), n),
+                            workers=n)
+    first = next((p.first_unrouted for p in parts if p.first_unrouted), None)
+    return Census(
+        sum((p.channel_routes for p in parts),
+            np.zeros(net.n_channels, dtype=np.int64)),
+        sum((p.hops for p in parts), np.zeros(net.n_nodes + 1, np.int64)),
+        sum(p.unrouted for p in parts), first)
 
 
 def _distinct_in_order(keys: np.ndarray) -> np.ndarray:

@@ -490,8 +490,8 @@ def execute_analyze(request: AnalyzeRequest, *,
                     net: Optional[Network] = None,
                     fingerprint: Optional[str] = None) -> AnalyzeResponse:
     """Route then report the ``repro analyze`` metric set."""
-    from repro.metrics import gamma_summary, path_length_stats
     from repro.metrics.deadlock import DeadlockAnalysis
+    from repro.metrics.report import gamma_and_path_lengths
 
     if net is None:
         net = request.route.network()
@@ -500,8 +500,7 @@ def execute_analyze(request: AnalyzeRequest, *,
     result = response.result(net)
     eff_workers = request.route.workers \
         if request.route.workers is not None else workers
-    g = gamma_summary(result, workers=eff_workers)
-    p = path_length_stats(result, workers=eff_workers)
+    g, p = gamma_and_path_lengths(result, workers=eff_workers)
     deadlock = DeadlockAnalysis(result)
     return AnalyzeResponse(
         algorithm=response.algorithm,

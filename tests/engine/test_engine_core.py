@@ -26,6 +26,11 @@ def _return_unpicklable(ctx, task):
     return lambda: task  # closures cannot cross the result queue
 
 
+def _refuse_counting(ctx, task):
+    obs.count("testworker.calls")
+    raise ValueError(f"task {task[0]} refused")
+
+
 class TestResolveWorkers:
     def test_none_uses_default(self):
         saved = engine.get_default_workers()
@@ -74,6 +79,19 @@ class TestRunLayerTasks:
                                          self.TASKS, workers=2)
         assert [f() for f in out] == self.TASKS
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+    def test_task_error_is_raised_once_not_a_fallback(self):
+        """A task's own ValueError is the task's: no serial rerun, no
+        "pool unavailable" warning, the first task's error as is."""
+        obs.enable(obs.MemorySink(keep_events=False))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^task 0 refused$"):
+                engine.run_layer_tasks(_refuse_counting, None, self.TASKS,
+                                       workers=2)
+        assert obs.counters().get("testworker.calls") == len(self.TASKS)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
 
     def test_worker_counters_reach_parent(self):
         obs.enable(obs.MemorySink(keep_events=False))

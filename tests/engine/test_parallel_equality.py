@@ -187,3 +187,57 @@ class TestShardedMetrics:
         serial = _reachable_pairs(routed, workers=1)
         assert _reachable_pairs(routed, workers=3) == serial
         assert serial[1] > 0
+
+    @pytest.mark.parametrize("defect", ["hole", "loop"])
+    def test_census_of_broken_tables_identical(self, routed, defect):
+        """A ``-1`` hole or a forwarding loop in a late column and an
+        early one: counts, first unrouted pair, every view and the
+        validation error agree at ``workers`` 1 and 3."""
+        import dataclasses
+
+        from repro.metrics import (
+            ValidationError,
+            edge_forwarding_indices,
+            path_length_stats,
+            validate_routing,
+        )
+        from repro.resilience.engine import _reachable_pairs
+        from repro.routing.walk import census
+
+        net = routed.net
+        broken = dataclasses.replace(
+            routed, next_channel=routed.next_channel.copy())
+        a, b = net.switches[0], net.switches[1]
+        for j in (len(broken.dests) - 1, 2):
+            if defect == "hole":
+                broken.next_channel[a, j] = -1
+            else:
+                broken.next_channel[a, j] = net.find_channels(a, b)[0]
+                broken.next_channel[b, j] = net.find_channels(b, a)[0]
+        serial, sharded = (census(broken, net.terminals, workers=w)
+                           for w in (1, 3))
+        assert np.array_equal(serial.channel_routes, sharded.channel_routes)
+        assert np.array_equal(serial.hops, sharded.hops)
+        assert serial.unrouted == sharded.unrouted > 0
+        assert serial.first_unrouted == sharded.first_unrouted
+        assert broken.dests.index(serial.first_unrouted[1]) == 2
+        routed_pairs = int(serial.hops.sum())
+        for w in (1, 3):
+            assert np.array_equal(
+                edge_forwarding_indices(broken, workers=w),
+                serial.channel_routes)
+            assert path_length_stats(broken, workers=w).n_routes == \
+                routed_pairs
+            assert _reachable_pairs(broken, workers=w) == (
+                routed_pairs, routed_pairs + serial.unrouted)
+        with pytest.raises(ValidationError) as err:
+            validate_routing(broken, check_deadlock=False)
+        # validate walks every node as a source; its first failing
+        # pair is in the early column too
+        src, dest = census(broken, range(net.n_nodes)).first_unrouted
+        assert dest == broken.dests[2]
+        name = net.node_names
+        assert str(err.value) == (
+            f"no route from {name[src]} to {name[dest]} "
+            f"(stuck at {name[a]})" if defect == "hole" else
+            f"forwarding loop routing {name[src]} -> {name[dest]}")

@@ -8,16 +8,21 @@ or, for the metrics that tolerate post-fault dangling chains, return
 the same numbers.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import cli, obs
+from repro.io import save_routing, save_topology
 from repro.metrics import (
     edge_forwarding_indices,
+    gamma_summary,
     induced_vc_dependencies,
     is_deadlock_free,
     layer_usage,
     path_length_stats,
+    quality_report,
     tree_depths,
     validate_routing,
 )
@@ -26,7 +31,12 @@ from repro.network.topologies import torus
 from repro.resilience.engine import _reachable_pairs
 from repro.routing import RoutingError, make_algorithm
 from repro.routing.sssp import subtree_route_counts
-from repro.routing.walk import BLOCK_COLS, LOOP, NO_ROUTE, walk
+from repro.routing.walk import BLOCK_COLS, LOOP, NO_ROUTE, census, walk
+from repro.service.requests import (
+    AnalyzeRequest,
+    RouteRequest,
+    execute_analyze,
+)
 
 
 def scalar_validate(result, sources=None):
@@ -251,3 +261,73 @@ def test_walk_is_observable(net, good):
     assert obs.span_stats()["metrics.walk"]["calls"] == n_blocks
     assert obs.counters()["metrics.pairs_walked"] == \
         net.n_nodes * len(good.dests)
+
+
+@pytest.mark.parametrize("corrupt", [corrupt_hole, corrupt_three_loop])
+def test_census_and_its_views_ignore_the_worker_count(net, good, corrupt):
+    """Two broken columns in different shards: every count sums, and
+    the earliest shard's first unrouted pair is the census's."""
+    near, far = safe_columns(net, good)[0], far_column(net, good)
+    corrupt(net, good, far)
+    corrupt(net, good, near)
+    expected_error = outcome(scalar_validate, good)
+    assert net.node_names[good.dests[near]] in expected_error[1]
+    for sources in (net.terminals, range(net.n_nodes)):
+        serial, sharded = (census(good, sources, workers=w) for w in (1, 3))
+        assert np.array_equal(serial.channel_routes, sharded.channel_routes)
+        assert np.array_equal(serial.hops, sharded.hops)
+        assert (serial.unrouted, serial.first_unrouted) == \
+            (sharded.unrouted, sharded.first_unrouted)
+        assert serial.unrouted > 0
+        assert good.dests.index(serial.first_unrouted[1]) == near
+    terminal = census(good, net.terminals, workers=1)
+    routed = int(terminal.hops.sum())
+    for w in (1, 3):
+        assert np.array_equal(edge_forwarding_indices(good, workers=w),
+                              terminal.channel_routes)
+        assert gamma_summary(good, workers=w) == gamma_summary(good)
+        assert path_length_stats(good, workers=w) == path_length_stats(good)
+        assert path_length_stats(good, workers=w).n_routes == routed
+        assert _reachable_pairs(good, workers=w) == (
+            routed, routed + terminal.unrouted)
+    assert outcome(validate_routing, good, check_deadlock=False) == \
+        expected_error
+
+
+def _pairs_walked(trace_path):
+    with open(trace_path) as fh:
+        return sum(ev["n"] for ev in map(json.loads, fh)
+                   if ev.get("type") == "counter"
+                   and ev.get("name") == "metrics.pairs_walked")
+
+
+def test_an_analysis_walks_the_terminal_pairs_once(net, tmp_path):
+    """γ and path lengths come from one census of the terminal pairs;
+    the deadlock lift walks the switch pairs, validation every node."""
+    result = make_algorithm("nue", 2).route(net, seed=3)
+    n_dests = len(result.dests)
+    lift = len(net.switches) * n_dests
+    terminal_pairs = len(net.terminals) * n_dests
+
+    obs.enable(obs.MemorySink(keep_events=False))
+    quality_report(result)
+    # validate + lift + one census + layer_balance's own VL walk
+    assert obs.counters()["metrics.pairs_walked"] == \
+        net.n_nodes * n_dests + lift + 2 * terminal_pairs
+    obs.disable()
+    obs.reset()
+
+    obs.enable(obs.MemorySink(keep_events=False))
+    execute_analyze(AnalyzeRequest(route=RouteRequest(
+        topology=net, algorithm="nue", max_vls=2, seed=3)))
+    assert obs.counters()["metrics.pairs_walked"] == lift + terminal_pairs
+    obs.disable()
+    obs.reset()
+
+    topo, tables = tmp_path / "f.topo", tmp_path / "t.json"
+    save_topology(net, str(topo))
+    save_routing(result, str(tables))
+    trace = tmp_path / "t.jsonl"
+    assert cli.main(["--trace", str(trace), "analyze", str(topo),
+                     str(tables)]) == 0
+    assert _pairs_walked(trace) == lift + terminal_pairs

@@ -175,3 +175,44 @@ class TestExactRerouteAndTranslate:
         fault = remove_switches(net, [net.switches[0]])
         with pytest.raises(ValueError, match="node-preserving"):
             translate_to_degraded(prior, fault)
+
+
+class TestPinnedLinkRepair:
+    """The fail-in-place claim is quantitative: one failed link on the
+    4x4x3 torus recomputes < 30 % of the destinations — only those
+    whose forwarding trees crossed it.  The link is pinned
+    (``s0_0_0--s0_1_0``, an average-traffic edge under seed 11), so
+    the counts are deterministic."""
+
+    SEED = 11
+    MAX_VLS = 3
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        net = torus((4, 4, 3), terminals_per_switch=1)
+        prior = make_algorithm("nue", self.MAX_VLS).route(net, seed=self.SEED)
+        names = net.node_names
+        li = next(i for i, (u, v) in enumerate(net.links())
+                  if {names[u], names[v]} == {"s0_0_0", "s0_1_0"})
+        return net, prior, [2 * li, 2 * li + 1]
+
+    def test_repair_recomputes_only_the_dirty_minority(self, pinned):
+        net, prior, chans = pinned
+        repaired, stats = incremental_reroute(
+            net, prior, chans, max_vls=self.MAX_VLS, seed=self.SEED)
+        recomputed = stats["dests_recomputed"]
+        assert recomputed == stats["dests_dirty"] > 0
+        assert recomputed / stats["dests_total"] < 0.30
+        assert not np.isin(repaired.next_channel, chans).any()
+
+    def test_dirty_set_is_a_minority(self, pinned):
+        _net, prior, chans = pinned
+        dirty = dirty_destinations(prior, chans)
+        assert 0 < len(dirty) < len(prior.dests) * 0.30
+
+    def test_exact_reroute_stays_within_max_vls(self, pinned):
+        net, _prior, chans = pinned
+        fault = remove_links(net, [chans[0] // 2])
+        result = make_algorithm("nue", self.MAX_VLS).route(
+            fault.net, seed=self.SEED)
+        assert result.n_vls <= self.MAX_VLS
