@@ -69,7 +69,12 @@ from repro.core.escape import EscapePaths
 from repro.network.graph import Network
 from repro.obs import core as obs
 
-__all__ = ["RoutingStep", "NueLayerRouter"]
+__all__ = ["RetainedColumnConflict", "RoutingStep", "NueLayerRouter"]
+
+
+class RetainedColumnConflict(ValueError):
+    """A retained forwarding column cannot be re-marked on a rebuilt
+    layer (see :meth:`NueLayerRouter.adopt_column`)."""
 
 
 @dataclass
@@ -306,14 +311,15 @@ class NueLayerRouter:
         so repair steps respect the retained trees' restrictions and
         load exactly as later destinations respected earlier ones.
 
-        Raises ``ValueError`` when a column dependency cannot be
-        marked.  The retained columns of one prior layer are mutually
-        acyclic (their dependency union was verified when first
-        routed, and channel retirement only removes dependencies), but
-        this layer's escape tree is rebuilt on the *surviving* fabric:
-        when retirement moved the BFS spanning tree, a retained
-        dependency can hit an edge the new escape state blocked, or
-        close a cycle against the new escape dependencies.  Callers
+        Raises :class:`RetainedColumnConflict` (a ``ValueError``) when
+        a column dependency cannot be marked.  The retained columns of
+        one prior layer are mutually acyclic (their dependency union
+        was verified when first routed, and channel retirement only
+        removes dependencies), but this layer's escape tree is rebuilt
+        on the *surviving* fabric: when retirement moved the BFS
+        spanning tree, a retained dependency can hit an edge the new
+        escape state blocked, or close a cycle against the new escape
+        dependencies.  Callers
         treat that as "incremental repair not applicable" and fall
         back to a full reroute.
         """
@@ -337,7 +343,7 @@ class NueLayerRouter:
                 continue
             cp = used[p]
             if cp >= 0 and not cdg.try_use_edge(cp, cq):
-                raise ValueError(
+                raise RetainedColumnConflict(
                     f"retained column for {net.node_names[dest]} "
                     "conflicts with the rebuilt escape state (blocked "
                     "edge or dependency cycle)"

@@ -23,7 +23,11 @@ from repro.cdg.complete_cdg import CompleteCDG
 from repro.network.graph import Network
 from repro.obs import core as obs
 
-__all__ = ["SpanningTree", "EscapePaths"]
+__all__ = ["DisconnectedError", "SpanningTree", "EscapePaths"]
+
+
+class DisconnectedError(ValueError):
+    """The (surviving) fabric does not connect every node."""
 
 
 class SpanningTree:
@@ -34,8 +38,9 @@ class SpanningTree:
     a link is chosen, deterministically.  ``retired`` (a per-channel
     truthy mask) excludes failed-in-place channels, so the tree spans
     only the surviving fabric; when the survivors no longer connect
-    every node the constructor raises ``ValueError``, which the
-    resilience engine turns into a reachability report.
+    every node the constructor raises :class:`DisconnectedError` (a
+    ``ValueError``), which the resilience engine turns into a
+    reachability report.
     """
 
     def __init__(
@@ -68,7 +73,7 @@ class SpanningTree:
                     self.children[u].append(v)
                     order.append(v)
         if not all(seen):
-            raise ValueError("network is disconnected")
+            raise DisconnectedError("network is disconnected")
         self.bfs_order = order
 
     def channel_between(self, u: int, v: int) -> int:

@@ -423,6 +423,9 @@ def _apply_event(
             except (IncrementalNotApplicable, RoutingError,
                     ValidationError) as exc:
                 result = None
+                if isinstance(exc, IncrementalNotApplicable):
+                    obs.count("resilience.incremental_refused",
+                              reason=exc.reason)
                 report.attempts.append(AttemptRecord(
                     label="incremental", ok=False, error=str(exc),
                     runtime_s=time.monotonic() - attempt_started,

@@ -42,6 +42,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.dijkstra import RetainedColumnConflict
+from repro.core.escape import DisconnectedError
 from repro.core.nue import NueConfig, _LayerConfig, build_layer_state, plan_layers
 from repro.engine import resolve_workers, run_layer_tasks, tablestore
 from repro.network.faults import FaultResult
@@ -52,6 +54,7 @@ from repro.utils.prng import SeedLike
 
 __all__ = [
     "IncrementalNotApplicable",
+    "REFUSAL_REASONS",
     "dirty_destinations",
     "exact_reroute",
     "incremental_reroute",
@@ -59,14 +62,29 @@ __all__ = [
 ]
 
 
+#: why :func:`incremental_reroute` refused, one word per precondition
+REFUSAL_REASONS = (
+    "algorithm",          # the prior routing is not a nue routing
+    "injection_lost",     # a destination terminal lost its injection channel
+    "disconnected",       # the surviving fabric no longer spans every node
+    "retained_conflict",  # a retained column cannot be re-marked
+)
+
+
 class IncrementalNotApplicable(RuntimeError):
     """Incremental repair cannot preserve its guarantees for this event.
 
-    Raised when a node died (ids shift), a terminal lost its injection
-    channel, the surviving fabric is disconnected, or retained state
-    cannot be re-marked.  The campaign engine falls back to
-    :func:`exact_reroute`.
+    Raised when the prior routing is not Nue's, a terminal lost its
+    injection channel, the surviving fabric is disconnected, or retained
+    state cannot be re-marked; ``reason`` names which, from
+    :data:`REFUSAL_REASONS` (``None`` when rebuilt from a wire error).
+    The campaign engine falls back to :func:`exact_reroute`.
     """
+
+    def __init__(self, message: str = "",
+                 reason: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 def dirty_destinations(
@@ -192,13 +210,14 @@ def incremental_reroute(
     if prior.algorithm != "nue":
         raise IncrementalNotApplicable(
             f"incremental repair supports nue routings, not "
-            f"{prior.algorithm!r}"
+            f"{prior.algorithm!r}", "algorithm"
         )
     failed: Set[int] = set(int(c) for c in failed_channels)
     for d in prior.dests:
         if net.is_terminal(d) and net.csr.injection_channel[d] in failed:
             raise IncrementalNotApplicable(
-                f"terminal {net.node_names[d]} lost its injection channel"
+                f"terminal {net.node_names[d]} lost its injection channel",
+                "injection_lost",
             )
 
     dirty = set(dirty_destinations(prior, sorted(failed)))
@@ -254,11 +273,12 @@ def incremental_reroute(
             stats["layers_repaired"] += 1  # type: ignore[operator]
             stats["dests_recomputed"] += layer_stats["recomputed"]  # type: ignore[operator]
             stats["fallbacks"] += layer_stats["fallbacks"]  # type: ignore[operator]
-    except ValueError as exc:
-        # disconnected survivor fabric (spanning tree) or a retained
-        # column that cannot be re-marked: incremental repair cannot
-        # keep its guarantees here
-        raise IncrementalNotApplicable(str(exc)) from exc
+    except DisconnectedError as exc:
+        raise IncrementalNotApplicable(str(exc), "disconnected") from exc
+    except RetainedColumnConflict as exc:
+        # the escape tree moved under a retained column
+        raise IncrementalNotApplicable(
+            str(exc), "retained_conflict") from exc
 
     repaired = RoutingResult(
         net=net,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.metrics import validate_routing
 from repro.network.faults import remove_links, remove_switches
 from repro.network.topologies import k_ary_n_tree, ring, torus
@@ -118,6 +119,20 @@ class TestIncrementalCampaign:
         first, second = res.reports
         assert not first.applied and first.validation_error
         assert second.applied and second.ok  # campaign carried on
+
+    def test_refusal_counted_with_its_reason(self):
+        net = torus((4, 4, 3), terminals_per_switch=2)
+        sink = obs.MemorySink()
+        obs.enable(sink)
+        res = run_campaign(net, FaultSchedule(events=_link_events(net, [4])),
+                           max_vls=1, seed=3)
+        obs.disable()
+        refused = [e for e in sink.events
+                   if e.get("name") == "resilience.incremental_refused"]
+        assert [e["reason"] for e in refused] == ["retained_conflict"]
+        (r,) = res.reports
+        assert r.ok and r.attempts[0].label == "incremental"
+        assert not r.attempts[0].ok
 
     def test_unknown_strategy_rejected(self):
         net = ring(4, terminals_per_switch=1)

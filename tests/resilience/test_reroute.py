@@ -1,8 +1,11 @@
 """Incremental fail-in-place repair: validity, determinism, reuse."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.core.nue as nue_mod
 from repro.metrics import is_deadlock_free, validate_routing
 from repro.network.faults import remove_links
 from repro.network.topologies import k_ary_n_tree, ring, torus
@@ -13,6 +16,7 @@ from repro.resilience import (
     incremental_reroute,
     translate_to_degraded,
 )
+from repro.resilience.reroute import REFUSAL_REASONS
 from repro.routing import make_algorithm
 
 
@@ -110,16 +114,19 @@ class TestIncrementalReroute:
     def test_non_nue_not_applicable(self):
         net = ring(6, terminals_per_switch=1)
         prior = make_algorithm("updn", 1).route(net, seed=3)
-        with pytest.raises(IncrementalNotApplicable, match="nue"):
+        with pytest.raises(IncrementalNotApplicable, match="nue") as info:
             incremental_reroute(net, prior, [0, 1], seed=3)
+        assert info.value.reason == "algorithm"
 
     def test_lost_injection_channel_not_applicable(self):
         net = ring(6, terminals_per_switch=1)
         prior = make_algorithm("nue", 1).route(net, seed=3)
         t = net.terminals[0]
         inj = net.csr.injection_channel[t]
-        with pytest.raises(IncrementalNotApplicable, match="orphan|injection"):
+        with pytest.raises(IncrementalNotApplicable,
+                           match="orphan|injection") as info:
             incremental_reroute(net, prior, [inj], seed=3)
+        assert info.value.reason == "injection_lost"
 
     def test_disconnecting_failure_not_applicable(self):
         # killing both links of a 1-redundancy ring node partitions it
@@ -132,8 +139,55 @@ class TestIncrementalReroute:
             if s in (u, v) and net.is_switch(u) and net.is_switch(v)
         ]
         chans = [c for li in adj for c in (2 * li, 2 * li + 1)]
-        with pytest.raises(IncrementalNotApplicable):
+        with pytest.raises(IncrementalNotApplicable) as info:
             incremental_reroute(net, prior, chans, seed=3)
+        assert info.value.reason == "disconnected"
+
+    def test_reason_survives_pickling(self):
+        """Pool workers hand refusals back pickled."""
+        exc = IncrementalNotApplicable("escape tree moved",
+                                       "retained_conflict")
+        back = pickle.loads(pickle.dumps(exc))
+        assert (str(back), back.reason) == (str(exc), exc.reason)
+        assert exc.reason in REFUSAL_REASONS
+
+    def test_fault_sweep_keeps_every_root(self, monkeypatch):
+        """Single switch-link faults on torus443 at k=1 and k=2.  A
+        repair re-selects each dirty layer's root on the *original*
+        net with the same subset, so the root never moves; the refusals
+        that remain are the rebuilt escape *tree* (it avoids the failed
+        link) blocking a retained column."""
+        calls = []
+        select_root = nue_mod.select_root
+
+        def recording(net, subset, all_dests=False):
+            root = select_root(net, subset, all_dests=all_dests)
+            calls.append((tuple(subset), root))
+            return root
+
+        monkeypatch.setattr(nue_mod, "select_root", recording)
+        net = torus((4, 4, 3), terminals_per_switch=2)
+        reasons = []
+        for k in (1, 2):
+            calls.clear()
+            prior = make_algorithm("nue", k, workers=1).route(net, seed=3)
+            prior_roots = dict(calls)
+            for index in range(12):
+                calls.clear()
+                _, chans = _s2s_link(net, index)
+                try:
+                    incremental_reroute(net, prior, chans, max_vls=k,
+                                        seed=3, workers=1)
+                except IncrementalNotApplicable as exc:
+                    reasons.append((k, index, exc.reason))
+                assert calls, "every link here dirties a layer"
+                for subset, root in calls:
+                    assert root == prior_roots[subset]
+        assert reasons == [
+            (1, 4, "retained_conflict"), (1, 7, "retained_conflict"),
+            (1, 8, "retained_conflict"), (2, 9, "retained_conflict"),
+            (2, 10, "retained_conflict"), (2, 11, "retained_conflict"),
+        ]
 
 
 class TestExactRerouteAndTranslate:
