@@ -31,8 +31,9 @@ resolves a pair by binary search in ``O(log Δ)``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["CSRView", "build_csr", "EXPORTED_BUFFERS"]
 
 #: the numpy buffers a shared-memory export ships (in layout order);
-#: everything else on a :class:`CSRView` is derived from them — plus
-#: the owning :class:`Network` — by ``_init_derived``.
+#: everything else on a :class:`CSRView` is derived from them alone by
+#: ``_init_derived``.
 EXPORTED_BUFFERS = (
     "channel_src", "channel_dst", "channel_reverse",
     "out_ptr", "out_idx", "in_ptr", "in_idx",
@@ -52,14 +53,24 @@ EXPORTED_BUFFERS = (
 )
 
 
+def _ptr_from_counts(counts: Sequence[int]) -> np.ndarray:
+    """CSR row pointers (int32, leading 0) from per-row lengths."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _split(flat: List[int], ptr: np.ndarray) -> List[List[int]]:
+    """Cut a flat list into the rows a CSR pointer array delimits."""
+    bounds = ptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _csr_from_lists(lists: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Pack a list-of-lists adjacency into (ptr, idx) int32 arrays."""
-    ptr = np.zeros(len(lists) + 1, dtype=np.int32)
-    for i, row in enumerate(lists):
-        ptr[i + 1] = ptr[i] + len(row)
-    idx = np.fromiter(
-        (c for row in lists for c in row), dtype=np.int32, count=int(ptr[-1])
-    )
+    ptr = _ptr_from_counts([len(row) for row in lists])
+    idx = np.fromiter(chain.from_iterable(lists), dtype=np.int32,
+                      count=int(ptr[-1]))
     return ptr, idx
 
 
@@ -87,7 +98,10 @@ class CSRView:
     """
 
     def __init__(self, net: "Network") -> None:
-        self.net = net
+        # no reference back to ``net``: the network owns its view, and
+        # a cycle between the two would leave every dropped network to
+        # the cyclic collector (a daemon serving large fabrics then
+        # holds several generations of them at once)
         self.n_nodes = net.n_nodes
         self.n_channels = net.n_channels
 
@@ -102,24 +116,29 @@ class CSRView:
         )
 
         # dependency-edge index (complete CDG, Def. 6: head-to-tail
-        # adjacency minus node-based 180-degree turns)
-        src = net.channel_src
-        dst = net.channel_dst
-        out = net.out_channels
-        dep_lists: List[List[int]] = [
-            [cq for cq in out[dst[cp]] if dst[cq] != src[cp]]
-            for cp in range(net.n_channels)
-        ]
-        self.dep_ptr, self.dep_dst = _csr_from_lists(dep_lists)
+        # adjacency minus node-based 180-degree turns): every channel
+        # repeated over the out-channels of its head node, in out_idx
+        # order, then the U-turns dropped
+        head = self.channel_dst
+        fan = (self.out_ptr[1:] - self.out_ptr[:-1])[head]
+        cand_src = np.repeat(
+            np.arange(self.n_channels, dtype=np.int32), fan)
+        first = np.cumsum(fan, dtype=np.int64) - fan
+        pos = (np.arange(len(cand_src), dtype=np.int64)
+               + np.repeat(self.out_ptr[head].astype(np.int64) - first,
+                           fan))
+        cand_dst = self.out_idx[pos]
+        keep = self.channel_dst[cand_dst] != self.channel_src[cand_src]
+        self.dep_src = cand_src[keep]
+        self.dep_dst = cand_dst[keep]
+        self.dep_ptr = _ptr_from_counts(
+            np.bincount(self.dep_src, minlength=self.n_channels))
         self.n_dep_edges = int(self.dep_ptr[-1])
-        self.dep_src = np.repeat(
-            np.arange(net.n_channels, dtype=np.int32),
-            np.diff(self.dep_ptr),
-        )
-        in_lists: List[List[int]] = [[] for _ in range(net.n_channels)]
-        for eid in range(self.n_dep_edges):
-            in_lists[int(self.dep_dst[eid])].append(eid)
-        self.dep_in_ptr, self.dep_in_eid = _csr_from_lists(in_lists)
+        # incoming mirror: edge ids grouped by head channel, ascending
+        self.dep_in_eid = np.argsort(
+            self.dep_dst, kind="stable").astype(np.int32)
+        self.dep_in_ptr = _ptr_from_counts(
+            np.bincount(self.dep_dst, minlength=self.n_channels))
 
         self._init_derived()
 
@@ -158,7 +177,6 @@ class CSRView:
         pickled across the process boundary.
         """
         view = cls.__new__(cls)
-        view.net = net
         view.n_nodes = net.n_nodes
         view.n_channels = net.n_channels
         for key in EXPORTED_BUFFERS:
@@ -169,8 +187,6 @@ class CSRView:
 
     def _init_derived(self) -> None:
         """Derive mirrors/indices from the canonical numpy buffers."""
-        net = self.net
-
         # plain-list mirrors for the scalar hot loops
         self.src_l: List[int] = self.channel_src.tolist()
         self.dst_l: List[int] = self.channel_dst.tolist()
@@ -181,48 +197,60 @@ class CSRView:
         self.dep_in_ptr_l: List[int] = self.dep_in_ptr.tolist()
         self.dep_in_eid_l: List[int] = self.dep_in_eid.tolist()
 
-        src = self.src_l
-        dst = self.dst_l
-        self.injection_channel: List[int] = [
-            net.out_channels[n][0] if not net.is_switch(n) else -1
-            for n in range(self.n_nodes)
-        ]
+        n = self.n_nodes
+        flags = self.switch_flags.astype(bool)
+        terminals = np.flatnonzero(~flags)
+        # a terminal's unique (first) out-channel, -1 at switches
+        injection = np.full(n, -1, dtype=np.int64)
+        injection[terminals] = self.out_idx[self.out_ptr[terminals]]
+        self.injection_channel: List[int] = injection.tolist()
         # per node: source nodes of incoming switch-to-this-node
         # channels, in in_channel order (the switch-graph reverse
         # adjacency UpDn and friends used to re-derive per call)
-        self.switch_in_sources: List[List[int]] = [
-            [src[c] for c in net.in_channels[u] if net.is_switch(src[c])]
-            for u in range(self.n_nodes)
-        ]
+        in_src = self.channel_src[self.in_idx]
+        keep = flags[in_src]
+        rows = np.repeat(np.arange(n), np.diff(self.in_ptr))
+        self.switch_in_sources: List[List[int]] = _split(
+            in_src[keep].tolist(),
+            _ptr_from_counts(np.bincount(rows[keep], minlength=n)))
 
-        # node-pair -> parallel channel ids (ascending), replacing
-        # repeated Network.find_channels scans in the table builders
-        pair_channels: Dict[Tuple[int, int], List[int]] = {}
-        for c in range(self.n_channels):
-            pair_channels.setdefault((src[c], dst[c]), []).append(c)
-        self._pair_channels = pair_channels
+        # node-pair -> parallel channel ids (ascending): channels
+        # sorted by one (src, dst) key, replacing repeated
+        # Network.find_channels scans in the table builders
+        key = (self.channel_src.astype(np.int64) * n
+               + self.channel_dst.astype(np.int64))
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        self._pair_key_l: List[int] = sorted_key.tolist()
+        self._pair_chan_l: List[int] = order.tolist()
 
-        # parallel-channel bundles (multi-link redundancy) and each
-        # channel's copy index within its bundle — shared by every
-        # layer router (OpenSM port-group rotation)
-        self.bundles: List[List[int]] = []
+        # parallel-channel bundles (multi-link redundancy, ordered by
+        # first channel) and each channel's copy index within its
+        # bundle — shared by every layer router (OpenSM port-group
+        # rotation)
+        head = np.ones(len(key), dtype=bool)
+        head[1:] = sorted_key[1:] != sorted_key[:-1]
+        starts = np.flatnonzero(head)
+        sizes = np.diff(np.append(starts, len(key)))
+        group = np.cumsum(head) - 1
+        rank = np.arange(len(key)) - starts[group]
         self.copy_index = np.zeros(self.n_channels, dtype=np.int64)
-        for (u, v), bundle in sorted(pair_channels.items(),
-                                     key=lambda kv: kv[1][0]):
-            if len(bundle) > 1:
-                self.bundles.append(bundle)
-                for i, ch in enumerate(bundle):
-                    self.copy_index[ch] = i
+        self.copy_index[order] = np.where(sizes[group] > 1, rank, 0)
+        multi = np.flatnonzero(sizes > 1)
+        multi = multi[np.argsort(order[starts[multi]])]
+        lens = sizes[multi]
+        pos = (np.arange(int(lens.sum()))
+               + np.repeat(starts[multi] - (np.cumsum(lens) - lens), lens))
         # bundle CSR (kernel-ready form of ``bundles``): channels of
         # bundle b are bundle_idx[bundle_ptr[b]:bundle_ptr[b+1]]
-        self.bundle_ptr, self.bundle_idx = _csr_from_lists(self.bundles)
+        self.bundle_ptr = _ptr_from_counts(lens)
+        self.bundle_idx = order[pos].astype(np.int32)
+        self.bundles: List[List[int]] = _split(
+            self.bundle_idx.tolist(), self.bundle_ptr)
         # terminal node ids in ascending order — the balancing-update
         # source set (empty on switch-only fabrics, where every node
         # acts as a source)
-        self.terminal_ids = np.fromiter(
-            (v for v in range(self.n_nodes) if not net.is_switch(v)),
-            dtype=np.int32,
-        )
+        self.terminal_ids = terminals.astype(np.int32)
 
     # -- queries ---------------------------------------------------------------
 
@@ -240,12 +268,17 @@ class CSRView:
         return self.dep_dst_l[self.dep_ptr_l[cp]:self.dep_ptr_l[cp + 1]]
 
     def channels_between(self, u: int, v: int) -> List[int]:
-        """All (parallel) channel ids from ``u`` to ``v`` (ascending)."""
-        return self._pair_channels.get((u, v), [])
+        """All (parallel) channel ids from ``u`` to ``v`` (ascending;
+        a fresh list)."""
+        k = u * self.n_nodes + v
+        lo = bisect_left(self._pair_key_l, k)
+        hi = bisect_right(self._pair_key_l, k, lo)
+        return self._pair_chan_l[lo:hi]
 
     def incident_links(self, node: int) -> List[int]:
         """Duplex link indices (into ``Network.links()``) at ``node``."""
-        return [c >> 1 for c in self.net.out_channels[node]]
+        lo, hi = self.out_ptr[node], self.out_ptr[node + 1]
+        return (self.out_idx[lo:hi] >> 1).tolist()
 
     # -- fingerprint support ----------------------------------------------------
 

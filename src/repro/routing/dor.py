@@ -10,6 +10,29 @@ transitions.
 DOR has no fault tolerance: a missing switch or link on the
 dimension-ordered path raises :class:`RoutingError` (OpenSM's ``dor``
 engine behaves the same on degraded tori).
+
+The columns are array passes, not a walk per (node, destination).
+Once per network a :class:`_StepTable` holds every switch's grid
+coordinate and, per dimension and direction, the parallel channels to
+its grid neighbour (derived from ``net.csr`` with one sorted
+``(src, dst)`` key).  Then, for up to :data:`_BLOCK_COLS` destinations
+at a time and every switch at once: the first differing dimension, the
+direction (the shorter way around a ring with ties ``+1``; on a mesh
+straight at the target), and the channel
+``chans[switch, dim, dir, dest % count]`` — exactly what
+:meth:`TorusGeometry.step_channel` picks with ``select=dest``.
+Terminal rows are their injection channel, the destination switch's
+row its eject channel, the destination's own row ``-1``.
+
+**Error order.** When some step has no channel (``count == 0``: the
+neighbour switch or every link to it is gone), the error raised is
+the scalar walk's :class:`RoutingError` for the first failing
+``(column, node)`` in destination-major, node-ascending order —
+produced by calling :meth:`TorusGeometry.step_channel` on that cell.
+Shards are contiguous column runs and the engine re-raises the first
+failing shard in task order, so the text does not depend on the
+worker count.  ``tests/routing/test_dor_oracle.py`` keeps the scalar
+walk as the oracle for tables and errors alike.
 """
 
 from __future__ import annotations
@@ -118,6 +141,158 @@ class TorusGeometry:
         return channels[select % len(channels)]
 
 
+#: destination columns per array pass: bounds the ``(columns x
+#: switches x dims)`` temporaries to well under a megabyte at 10k
+#: switches
+_BLOCK_COLS = 16
+
+
+class _StepTable:
+    """Array form of :meth:`TorusGeometry.step_channel`, per network.
+
+    Built once per network (one shard call) from ``net.csr``:
+
+    * ``switches`` — switch node ids, ascending; rows of the step
+      table below are in this order (a switch's *position*);
+    * ``coords`` — ``int32[n_nodes, D]`` grid coordinate per switch
+      (``-1`` rows at terminals);
+    * ``chans`` / ``counts`` — the step table: ``chans[p, dim, dir, k]``
+      is the ``k``-th (ascending) parallel channel from the switch at
+      position ``p`` to its grid neighbour along ``dim`` (``dir`` 0 =
+      ``+1``, 1 = ``-1``), ``counts[p, dim, dir]`` how many there are;
+      0 means the neighbour switch or every link to it is missing;
+    * ``home`` — per node, the switch a packet to it ejects from (the
+      node itself for a switch), ``injection`` and ``eject`` — a
+      terminal's injection channel and the first channel from its
+      switch into it (``-1`` where none).
+
+    Parallel channels come from one sorted ``(src, dst)`` key over
+    every channel and ``searchsorted``, which reproduces
+    ``channels_between``'s ascending order.
+    """
+
+    def __init__(self, geom: TorusGeometry) -> None:
+        self.geom = geom
+        net = geom.net
+        csr = net.csr
+        n = net.n_nodes
+        dims = np.asarray(geom.dims, dtype=np.int32)
+        n_dims = len(dims)
+        flags = csr.switch_flags.astype(bool)
+        self.switches = sw = np.flatnonzero(flags)
+        self.terminals = np.flatnonzero(~flags)
+
+        coords = np.full((n, n_dims), -1, dtype=np.int32)
+        placed = np.fromiter(geom.coord_of, dtype=np.int64,
+                             count=len(geom.coord_of))
+        grid = np.full(int(np.prod(dims)), -1, dtype=np.int64)
+        if len(placed):
+            coords[placed] = np.array(list(geom.coord_of.values()),
+                                      dtype=np.int32)
+            grid[np.ravel_multi_index(coords[placed].T, dims)] = placed
+        self.coords = coords
+
+        key = (csr.channel_src.astype(np.int64) * n
+               + csr.channel_dst.astype(np.int64))
+        order = np.argsort(key, kind="stable").astype(np.int32)
+        sorted_key = key[order]
+
+        counts = np.zeros((len(sw), n_dims, 2), dtype=np.int32)
+        first = np.zeros((len(sw), n_dims, 2), dtype=np.int64)
+        for dim in range(n_dims):
+            for bit, step in enumerate((1, -1)):
+                pos = coords[sw].astype(np.int64)
+                pos[:, dim] += step
+                if geom.wraparound:
+                    pos[:, dim] %= dims[dim]
+                inside = (pos >= 0).all(axis=1) & (pos < dims).all(axis=1)
+                nbr = np.full(len(sw), -1, dtype=np.int64)
+                nbr[inside] = grid[np.ravel_multi_index(
+                    pos[inside].T, dims)]
+                q = sw * n + nbr
+                lo = np.searchsorted(sorted_key, q, side="left")
+                hi = np.searchsorted(sorted_key, q, side="right")
+                counts[:, dim, bit] = np.where(nbr >= 0, hi - lo, 0)
+                first[:, dim, bit] = lo
+        width = max(1, int(counts.max(initial=0)))
+        chans = np.full(counts.shape + (width,), -1, dtype=np.int32)
+        for k in range(width):
+            has = counts > k
+            chans[has, k] = order[first[has] + k]
+        self.chans = chans
+        self.counts = counts
+        # per dimension k: the step-table cell (flat index into
+        # counts) each switch takes towards target coordinate t along
+        # k, as cells[k][t, p] — the direction rule applied once here
+        here = coords[sw].astype(np.int64)
+        row = np.arange(len(sw), dtype=np.int64) * n_dims * 2
+        self._cells = []
+        for k in range(n_dims):
+            t = np.arange(dims[k], dtype=np.int64)[:, None]
+            if geom.wraparound:  # shorter way around, ties go +1
+                neg = (t - here[:, k]) % dims[k] > (here[:, k] - t) % dims[k]
+            else:  # a mesh only ever walks straight at the target
+                neg = t <= here[:, k]
+            self._cells.append(row + 2 * k + neg)
+
+        injection = np.asarray(csr.injection_channel, dtype=np.int64)
+        term = self.terminals
+        home = np.arange(n, dtype=np.int64)
+        home[term] = csr.channel_dst[injection[term]]
+        self.home = home
+        self.injection = injection.astype(np.int32)
+        eject = np.full(n, -1, dtype=np.int32)
+        q = home[term] * n + term
+        at = np.minimum(np.searchsorted(sorted_key, q), len(order) - 1)
+        found = sorted_key[at] == q
+        eject[term[found]] = order[at[found]]
+        self.eject = eject
+
+    def columns(self, dests: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Next channel of every switch towards each of ``dests``.
+
+        Returns ``(chan, bad)``, both ``[len(dests), n_switches]`` in
+        :attr:`switches` order: ``bad`` marks the cells whose
+        dimension-order step has no channel (the destination's own
+        switch never counts).  ``chan`` there, and at that switch, is
+        meaningless.
+        """
+        sw = self.switches
+        home = self.home[dests]
+        here = self.coords[sw]
+        there = self.coords[home]
+        # the first differing dimension decides: fill from the last
+        # dimension back, each overriding where its coordinate differs
+        # (the destination's own switch keeps the last one's cell)
+        last = len(self._cells) - 1
+        cell = self._cells[last][there[:, last]]
+        for k in range(last - 1, -1, -1):
+            differs = here[None, :, k] != there[:, k, None]
+            cell = np.where(differs, self._cells[k][there[:, k]], cell)
+        count = self.counts.ravel()[cell]
+        width = self.chans.shape[-1]
+        if width > 1:  # spread over parallel channels by destination
+            cell = cell * width + dests[:, None] % np.maximum(count, 1)
+        chan = self.chans.ravel()[cell]
+        bad = (count == 0) & (sw[None, :] != home[:, None])
+        return chan, bad
+
+    def raise_step_error(self, dest: int, node: int) -> None:
+        """Raise the scalar walk's :class:`RoutingError` for one cell."""
+        geom = self.geom
+        there = self.coords[self.home[dest]]
+        here = self.coords[node]
+        dim = int((here != there).argmax())
+        if geom.wraparound:
+            direction = dor_direction(geom.dims[dim], int(here[dim]),
+                                      int(there[dim]))
+        else:
+            direction = 1 if there[dim] > here[dim] else -1
+        geom.step_channel(node, dim, direction, select=dest)
+        raise AssertionError(  # pragma: no cover - step table drifted
+            f"step table marks a missing step at node {node}, dest {dest}")
+
+
 def _dor_columns(
     ctx: Tuple[Network, Optional["tablestore.SegmentHandle"]],
     shard: Tuple[Sequence[int], int],
@@ -127,42 +302,32 @@ def _dor_columns(
     Each column is a pure function of ``(net, dest)`` — no state is
     shared across destinations — so shard boundaries cannot change the
     output and the merged table is bit-identical to the serial sweep.
-    The block is written straight into the parent's shm table segment
-    when one exists (returning ``None``); without a handle the array
-    itself returns and the parent merges it.
+    Columns are computed :data:`_BLOCK_COLS` at a time over every
+    switch at once (see the module docstring).  The block is written
+    straight into the parent's shm table segment when one exists
+    (returning ``None``); without a handle the array itself returns
+    and the parent merges it.
     """
     net, handle = ctx
     dest_shard, col0 = shard
-    geom = TorusGeometry(net)
-    block = np.full((net.n_nodes, len(dest_shard)), -1, dtype=np.int32)
-    for jj, d in enumerate(dest_shard):
-        d_switch = d if net.is_switch(d) else net.terminal_switch(d)
-        d_coord = geom.coord_of[d_switch]
-        for node in range(net.n_nodes):
-            if node == d:
-                continue
-            if net.is_terminal(node):
-                block[node, jj] = net.csr.injection_channel[node]
-                continue
-            if node == d_switch:
-                # eject to the terminal (or arrived, if dest is a switch)
-                chans = net.csr.channels_between(node, d)
-                block[node, jj] = chans[0] if chans else -1
-                continue
-            coord = geom.coord_of[node]
-            dim = next(
-                i for i in range(geom.n_dims) if coord[i] != d_coord[i]
-            )
-            if geom.wraparound:
-                direction = dor_direction(
-                    geom.dims[dim], coord[dim], d_coord[dim]
-                )
-            else:  # a mesh only ever walks straight at the target
-                direction = 1 if d_coord[dim] > coord[dim] else -1
-            block[node, jj] = geom.step_channel(
-                node, dim, direction, select=d
-            )
-    cols = list(range(col0, col0 + len(dest_shard)))
+    steps = _StepTable(TorusGeometry(net))
+    dests = np.asarray(dest_shard, dtype=np.int64).reshape(-1)
+    block = np.empty((net.n_nodes, len(dests)), dtype=np.int32)
+    block[steps.terminals, :] = steps.injection[steps.terminals, None]
+    sw = steps.switches
+    for j0 in range(0, len(dests), _BLOCK_COLS):
+        d = dests[j0:j0 + _BLOCK_COLS]
+        chan, bad = steps.columns(d)
+        if bad.any():  # first failing column, then lowest node id
+            jj = int(bad.any(axis=1).argmax())
+            steps.raise_step_error(int(d[jj]), int(sw[bad[jj].argmax()]))
+        cols = np.arange(j0, j0 + len(d))
+        block[sw, j0:j0 + len(d)] = chan.T
+        home = steps.home[d]
+        eject = home != d  # a terminal destination: its switch ejects
+        block[home[eject], cols[eject]] = steps.eject[d[eject]]
+        block[d, cols] = -1
+    cols = list(range(col0, col0 + len(dests)))
     if tablestore.write_columns(handle, cols, block):
         return None  # landed in shm; VL stays at the zero-fill
     return block

@@ -152,9 +152,9 @@ def _json_dumps(msg: Any) -> bytes:
     return json.dumps(msg, separators=(",", ":")).encode("utf-8")
 
 
-def _json_loads(data: bytes) -> Any:
+def _json_loads(data: Any) -> Any:
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(str(data, "utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON/nesting
         raise ProtocolError(
             f"undecodable JSON payload: {type(exc).__name__}: {exc}"
@@ -170,10 +170,11 @@ NDARRAY_KEY = "__ndarray__"
 _PLACEHOLDER_KEYS = frozenset((NDARRAY_KEY, "dtype", "shape"))
 
 
-def _extract_ndarrays(obj: Any, buffers: List[bytes]) -> Any:
+def _extract_ndarrays(obj: Any, buffers: List[memoryview]) -> Any:
     """Deep-copy ``obj`` with every ndarray swapped for a placeholder.
 
-    Buffers are contiguous little-endian bytes appended to ``buffers``
+    Buffers are byte views of the contiguous little-endian arrays
+    (no copy when the array already is one), appended to ``buffers``
     in placeholder-index order.  Containers are rebuilt only along the
     paths that actually hold arrays' ancestors (dicts/lists/tuples).
     """
@@ -181,7 +182,7 @@ def _extract_ndarrays(obj: Any, buffers: List[bytes]) -> Any:
         le = obj.dtype.newbyteorder("<")
         data = np.ascontiguousarray(obj.astype(le, copy=False))
         index = len(buffers)
-        buffers.append(data.tobytes())
+        buffers.append(memoryview(data.reshape(-1).view(np.uint8)))
         return {NDARRAY_KEY: index, "dtype": le.str,
                 "shape": list(obj.shape)}
     if isinstance(obj, dict):
@@ -191,11 +192,11 @@ def _extract_ndarrays(obj: Any, buffers: List[bytes]) -> Any:
     return obj
 
 
-def _restore_ndarrays(obj: Any, buffers: List[bytes]) -> Any:
+def _restore_ndarrays(obj: Any, buffers: List[memoryview]) -> Any:
     """Inverse of :func:`_extract_ndarrays`: placeholders -> arrays.
 
     Restored arrays are read-only ``frombuffer`` views over the frame's
-    buffer bytes — decoding a multi-megabyte table is O(1) per table.
+    payload — decoding a multi-megabyte table is O(1) per table.
     """
     if isinstance(obj, dict):
         if set(obj) == _PLACEHOLDER_KEYS and isinstance(
@@ -219,7 +220,7 @@ def _restore_ndarrays(obj: Any, buffers: List[bytes]) -> Any:
 _DTYPE_STR = re.compile(r"[<|][biufc]\d{1,2}")
 
 
-def _restore_one(buf: bytes, dtype: Any, shape: Any) -> np.ndarray:
+def _restore_one(buf: memoryview, dtype: Any, shape: Any) -> np.ndarray:
     if not isinstance(dtype, str) or not _DTYPE_STR.fullmatch(dtype) \
             or not isinstance(shape, list):
         raise ProtocolError(
@@ -245,19 +246,31 @@ def _has_ndarray(obj: Any) -> bool:
     return False
 
 
-def _binary_dumps(msg: Any) -> bytes:
-    """Binary frame payload: inner byte, buffer table, inner message."""
-    buffers: List[bytes] = []
+def _binary_parts(msg: Any) -> List[Any]:
+    """Binary frame payload as a list of byte buffers, in wire order:
+    inner byte, buffer table (each buffer a view of its array), inner
+    message."""
+    buffers: List[memoryview] = []
     stripped = _extract_ndarrays(msg, buffers)
-    parts = [_JSON.byte, _LEN.pack(len(buffers))]
+    parts: List[Any] = [_JSON.byte, _LEN.pack(len(buffers))]
     for buf in buffers:
-        parts.append(_LEN.pack(len(buf)))
+        parts.append(_LEN.pack(buf.nbytes))
         parts.append(buf)
     parts.append(_JSON.dumps(stripped))
-    return b"".join(parts)
+    return parts
 
 
-def _binary_loads(payload: bytes) -> Any:
+def _binary_dumps(msg: Any) -> bytes:
+    """Binary frame payload: inner byte, buffer table, inner message."""
+    return b"".join(_binary_parts(msg))
+
+
+def _binary_loads(payload: Any) -> Any:
+    """Decode a binary payload (any bytes-like object) without copying
+    it: array buffers and the inner message are slices of one
+    read-only view, so restored arrays stay read-only even over a
+    ``bytearray`` the transport filled."""
+    payload = memoryview(payload).toreadonly()
     if not payload:
         raise ProtocolError("empty binary frame payload")
     if payload[:1] == _BINARY.byte:
@@ -270,7 +283,7 @@ def _binary_loads(payload: bytes) -> Any:
         raise ProtocolError("truncated binary frame buffer table")
     (n_buffers,) = _LEN.unpack(payload[offset:offset + 4])
     offset += 4
-    buffers: List[bytes] = []
+    buffers: List[memoryview] = []
     for _ in range(n_buffers):
         if len(payload) < offset + 4:
             raise ProtocolError("truncated binary frame buffer length")
@@ -323,17 +336,22 @@ def encode_frame(msg: Any, codec: Codec = _JSON) -> bytes:
 
     A message containing numpy arrays always takes a binary frame
     (codec byte ``B``), whatever ``codec`` says; array-free peers
-    never observe one.
+    never observe one.  The frame is assembled by one join of the
+    header and the payload's parts, so each array's bytes are copied
+    exactly once, into the frame.
     """
     if _has_ndarray(msg):
         codec = _BINARY
-    payload = codec.dumps(msg)
-    if len(payload) > MAX_FRAME_BYTES:
+        parts = _binary_parts(msg)
+    else:
+        parts = [codec.dumps(msg)]
+    length = sum(memoryview(part).nbytes for part in parts)
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"message of {len(payload)} bytes exceeds the "
+            f"message of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame limit"
         )
-    return codec.byte + _LEN.pack(len(payload)) + payload
+    return b"".join([codec.byte, _LEN.pack(length), *parts])
 
 
 def decode_header(header: bytes) -> Tuple[Codec, int]:
@@ -351,10 +369,14 @@ def decode_header(header: bytes) -> Tuple[Codec, int]:
     return codec, length
 
 
-def decode_frame(frame: bytes) -> Any:
-    """Decode one complete frame (header + payload) to a message."""
-    codec, length = decode_header(frame[:HEADER_SIZE])
-    payload = frame[HEADER_SIZE:]
+def decode_frame(frame: Any) -> Any:
+    """Decode one complete frame (header + payload) to a message.
+
+    ``frame`` is any bytes-like object; the payload is decoded from a
+    view of it, never a copy, so restored arrays keep ``frame`` alive.
+    """
+    codec, length = decode_header(bytes(frame[:HEADER_SIZE]))
+    payload = memoryview(frame)[HEADER_SIZE:]
     if len(payload) != length:
         raise ProtocolError(
             f"frame length mismatch: header says {length}, "

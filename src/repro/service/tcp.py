@@ -21,7 +21,11 @@ from repro.service.protocol import (
     encode_frame,
 )
 
-__all__ = ["StreamComm", "StreamListener"]
+__all__ = ["StreamComm", "StreamListener", "SLICE_BYTES"]
+
+#: the most bytes one ``write`` hands the transport, and one read takes
+#: from the stream, while a large frame crosses
+SLICE_BYTES = 1 << 20
 
 
 class StreamComm(Comm):
@@ -32,18 +36,31 @@ class StreamComm(Comm):
         self._reader = reader
         self._writer = writer
         self._closed = False
+        self._send_lock = asyncio.Lock()
         self.peer = peer_name
 
     async def send(self, msg) -> None:
         if self._closed:
             raise CommClosedError(f"comm to {self.peer} is closed")
-        try:
-            self._writer.write(encode_frame(msg))
-            await self._writer.drain()
-        except (ConnectionError, RuntimeError) as exc:
-            self._closed = True
-            raise CommClosedError(
-                f"comm to {self.peer} broke mid-send: {exc}") from exc
+        frame = memoryview(encode_frame(msg))
+        # bounded slices: a transport copies whatever part of one write
+        # the socket does not take at once into its own buffer.  The
+        # lock keeps concurrent senders' frames from interleaving
+        async with self._send_lock:
+            sent = 0
+            try:
+                while sent < len(frame):
+                    self._writer.write(frame[sent:sent + SLICE_BYTES])
+                    sent += SLICE_BYTES
+                    await self._writer.drain()
+            except asyncio.CancelledError:
+                # never leave half a frame on the wire: queue the rest
+                self._writer.write(frame[sent:])
+                raise
+            except (ConnectionError, RuntimeError) as exc:
+                self._closed = True
+                raise CommClosedError(
+                    f"comm to {self.peer} broke mid-send: {exc}") from exc
 
     async def recv(self):
         if self._closed:
@@ -51,12 +68,27 @@ class StreamComm(Comm):
         try:
             header = await self._reader.readexactly(HEADER_SIZE)
             codec, length = decode_header(header)
-            payload = await self._reader.readexactly(length)
+            payload = await self._read_payload(length)
         except (asyncio.IncompleteReadError, ConnectionError) as exc:
             self._closed = True
             raise CommClosedError(
                 f"peer {self.peer} closed the connection") from exc
         return codec.loads(payload)
+
+    async def _read_payload(self, length: int):
+        """``length`` bytes; above :data:`SLICE_BYTES` read slice by
+        slice into one preallocated buffer, so the payload is copied
+        once out of the stream's buffer instead of accumulating there
+        first."""
+        if length <= SLICE_BYTES:
+            return await self._reader.readexactly(length)
+        payload = bytearray(length)
+        view = memoryview(payload)
+        for start in range(0, length, SLICE_BYTES):
+            chunk = await self._reader.readexactly(
+                min(SLICE_BYTES, length - start))
+            view[start:start + len(chunk)] = chunk
+        return payload
 
     async def close(self) -> None:
         # no early return on ``_closed``: a recv()/send() that met EOF
