@@ -75,7 +75,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.csr import CSRView, EXPORTED_BUFFERS
-from repro.network.graph import Network, as_network
+from repro.network.graph import Network, _fill_lists, as_network
 from repro.obs import core as obs
 from repro.obs import live
 from repro.obs.sinks import MemorySink
@@ -170,10 +170,11 @@ class _Mapping:
 #: included.
 _owned: Dict[str, _Mapping] = {}
 #: segments another process owns, mapped here: a true LRU, so a long
-#: campaign's workers hold at most ``_ATTACH_CAPACITY`` mappings and a
-#: fan-out's tasks hitting the same worker map each segment once (one
+#: campaign's workers hold at most ``_ATTACH_CAPACITY`` mappings (one
 #: transition task already needs five: two networks, two tables and a
-#: scratch segment)
+#: scratch segment).  Only networks outlive a task: pool workers drop
+#: table and scratch mappings when it returns
+#: (:func:`_detach_request_segments`)
 _attached: "OrderedDict[str, _Mapping]" = OrderedDict()
 _ATTACH_CAPACITY = 8
 #: monotonic per-process sequence folded into every segment name so a
@@ -359,7 +360,6 @@ class ShmNetworkHandle:
     handle: SegmentHandle
     name: str
     n_nodes: int
-    n_channels: int
     meta: Dict[str, object]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -408,8 +408,7 @@ def export_network(net: Network,
     bufs["names_blob"] = np.frombuffer(blob, dtype=np.uint8)
     handle = ShmNetworkHandle(
         fingerprint=fp, handle=_create_from("net", bufs),
-        name=net.name, n_nodes=net.n_nodes, n_channels=net.n_channels,
-        meta=dict(net.meta),
+        name=net.name, n_nodes=net.n_nodes, meta=dict(net.meta),
     )
     _exports[fp] = _Export(handle)
     _count("fabric.shm_exports")
@@ -465,24 +464,13 @@ def _rehydrate(handle: ShmNetworkHandle,
     net = Network.__new__(Network)
     net.name = handle.name
     net.n_nodes = handle.n_nodes
-    net.n_channels = handle.n_channels
     net.meta = dict(handle.meta)
     blob = bytes(arrays.pop("names_blob"))
     net.node_names = blob.decode("utf-8").split("\x00") if blob else []
     net._switch = [bool(f) for f in arrays["switch_flags"].tolist()]
-    net.channel_src = arrays["channel_src"].tolist()
-    net.channel_dst = arrays["channel_dst"].tolist()
-    net.channel_reverse = arrays["channel_reverse"].tolist()
-    out_ptr = arrays["out_ptr"].tolist()
-    out_idx = arrays["out_idx"].tolist()
-    net.out_channels = [
-        out_idx[out_ptr[i]:out_ptr[i + 1]] for i in range(net.n_nodes)
-    ]
-    in_ptr = arrays["in_ptr"].tolist()
-    in_idx = arrays["in_idx"].tolist()
-    net.in_channels = [
-        in_idx[in_ptr[i]:in_ptr[i + 1]] for i in range(net.n_nodes)
-    ]
+    _fill_lists(net, arrays["channel_src"], arrays["channel_dst"],
+                arrays["channel_reverse"], arrays["out_ptr"],
+                arrays["out_idx"], arrays["in_ptr"], arrays["in_idx"])
     net._csr_view = CSRView.from_buffers(net, arrays)
     return net
 
@@ -673,18 +661,33 @@ def _run_fabric_task(fn, ctx: Any, task: Any,
     event list rides back for replay.  See :class:`TaskFailure`.
     """
     fn = functools.partial(TaskFailure.call, fn)
-    if not capture_obs:
-        return fn(unpack_ctx(ctx), task), []
-    if live.worker_publisher() is not None:
-        return live.run_streamed(fn, unpack_ctx(ctx), task)
-    sink = MemorySink(keep_events=True)
-    obs.reset()
-    obs.enable(sink)
     try:
-        result = fn(unpack_ctx(ctx), task)
+        if not capture_obs:
+            return fn(unpack_ctx(ctx), task), []
+        if live.worker_publisher() is not None:
+            return live.run_streamed(fn, unpack_ctx(ctx), task)
+        sink = MemorySink(keep_events=True)
+        obs.reset()
+        obs.enable(sink)
+        try:
+            result = fn(unpack_ctx(ctx), task)
+        finally:
+            obs.disable()
+        return result, sink.events
     finally:
-        obs.disable()
-    return result, sink.events
+        _detach_request_segments()
+
+
+def _detach_request_segments() -> None:
+    """Worker side, at task end: drop every attached segment but the
+    networks.  Tables and scratch arrays belong to one request — a
+    worker that kept them would hold up to :data:`_ATTACH_CAPACITY`
+    unlinked tables mapped — while networks stay in the LRU for the
+    next request of the same fabric (campaigns, transitions).  The
+    memory goes once no array of the task still uses it."""
+    for name in [name for name, mapping in _attached.items()
+                 if mapping.net is None]:
+        del _attached[name]
 
 
 def get_pool(workers: int) -> ProcessPoolExecutor:

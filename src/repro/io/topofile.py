@@ -17,15 +17,28 @@ meta topology {"type": "custom"}   # optional JSON metadata
 ```
 
 Node order and link order are preserved, so ids round-trip exactly.
+
+**First error wins.** Lines are read top to bottom and a malformed one
+raises :class:`TopologyFormatError` ``"line N: ..."`` at once: an
+unknown keyword, a missing name, a duplicate node, a link of other
+than two names (plus an optional ``xN``), a bad or non-positive
+multiplicity, a node not declared on an earlier line, bad meta JSON.
+Keywords are case-insensitive.  Only a file whose every line parses
+reaches the structural checks of :class:`Network` — self-loops,
+isolated nodes, terminals of degree other than one, disconnection —
+which raise without a line number, and a file without nodes raises
+``"no nodes defined"``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Dict, List, Union
 
-from repro.network.graph import Network, NetworkBuilder
+import numpy as np
+
+from repro.network.graph import Network
 
 __all__ = ["load_topology", "save_topology", "parse_topology",
            "format_topology", "TopologyFormatError"]
@@ -36,47 +49,48 @@ class TopologyFormatError(ValueError):
 
 
 def parse_topology(text: str) -> Network:
-    """Parse the text format into a :class:`Network`."""
-    builder = NetworkBuilder()
+    """Parse the text format into a :class:`Network`.
+
+    One pass splits each line once; link endpoints resolve by direct
+    dict lookup into one flat ``(u, v, u, v, ...)`` list, which the
+    :class:`Network` constructor takes as an array.  Errors name the
+    first failing line (see the module docstring).
+    """
+    name = "network"
+    names: List[str] = []
+    switch: List[bool] = []
+    ids: Dict[str, int] = {}
+    ends: List[int] = []
     meta = {}
-    seen_any = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        words = raw.split()
+        if not words:
             continue
-        parts = line.split(None, 2)
-        keyword = parts[0].lower()
+        keyword = words[0].lower()
         try:
-            if keyword == "name":
-                builder.name = parts[1]
-            elif keyword == "switch":
-                builder.add_switch(parts[1])
-                seen_any = True
-            elif keyword == "terminal":
-                builder.add_terminal(parts[1])
-                seen_any = True
-            elif keyword == "link":
-                rest = line.split()[1:]
-                if len(rest) not in (2, 3):
-                    raise TopologyFormatError(
-                        f"line {lineno}: link needs two node names"
-                    )
-                count = 1
-                if len(rest) == 3:
-                    if not rest[2].startswith("x"):
-                        raise TopologyFormatError(
-                            f"line {lineno}: link multiplicity must be "
-                            f"'xN', got {rest[2]!r}"
-                        )
-                    count = int(rest[2][1:])
-                builder.add_link(
-                    builder.node_id(rest[0]),
-                    builder.node_id(rest[1]),
-                    count=count,
-                )
+            if keyword == "link":
+                if len(words) == 3:
+                    ends += (ids[words[1]], ids[words[2]])
+                    continue
+                count = _multiplicity(words, lineno)
+                u, v = ids[words[1]], ids[words[2]]
+                if count < 1:
+                    raise ValueError("count must be >= 1")
+                ends += (u, v) * count
+            elif keyword == "switch" or keyword == "terminal":
+                node = words[1]
+                if node in ids:
+                    raise ValueError(f"duplicate node name: {node}")
+                ids[node] = len(names)
+                names.append(node)
+                switch.append(keyword == "switch")
+            elif keyword == "name":
+                name = words[1]
             elif keyword == "meta":
-                key, payload = parts[1], parts[2]
-                meta[key] = json.loads(payload)
+                parts = raw.strip().split(None, 2)
+                meta[parts[1]] = json.loads(parts[2])
             else:
                 raise TopologyFormatError(
                     f"line {lineno}: unknown keyword {keyword!r}"
@@ -85,14 +99,27 @@ def parse_topology(text: str) -> Network:
             raise
         except (KeyError, IndexError, ValueError) as exc:
             raise TopologyFormatError(f"line {lineno}: {exc}") from exc
-    if not seen_any:
+    if not names:
         raise TopologyFormatError("no nodes defined")
     try:
-        net = builder.build()
+        net = Network(len(names),
+                      np.array(ends, dtype=np.int64).reshape(-1, 2),
+                      switch, names, name)
     except ValueError as exc:
         raise TopologyFormatError(str(exc)) from exc
     net.meta.update(meta)
     return net
+
+
+def _multiplicity(words: List[str], lineno: int) -> int:
+    """The ``xN`` count of a ``link`` line of other than two names."""
+    if len(words) != 4:
+        raise TopologyFormatError(f"line {lineno}: link needs two node names")
+    if not words[3].startswith("x"):
+        raise TopologyFormatError(
+            f"line {lineno}: link multiplicity must be 'xN', got {words[3]!r}"
+        )
+    return int(words[3][1:])
 
 
 def format_topology(net: Network) -> str:

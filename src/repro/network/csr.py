@@ -18,9 +18,8 @@ cached on it (``net.csr``).  It packs
 Per-layer CDG state (:class:`repro.cdg.complete_cdg.CompleteCDG`) is a
 dense byte array indexed by edge id over this static structure — no
 dict hashing or list-of-list indirection in the Algorithm-1 inner
-loop.  The numpy buffers are the canonical encoding (they are what
-:func:`repro.engine.fingerprint.network_fingerprint` hashes); the
-``*_l`` attributes are plain-``list`` mirrors of the same data, kept
+loop.  The numpy buffers are the canonical encoding (what a shared
+memory export ships); the ``*_l`` attributes are plain-``list`` mirrors of the same data, kept
 because CPython indexes lists substantially faster than 0-d numpy
 scalars, which is what the routing step's inner loop lives on.
 
@@ -280,15 +279,15 @@ class CSRView:
         lo, hi = self.out_ptr[node], self.out_ptr[node + 1]
         return (self.out_idx[lo:hi] >> 1).tolist()
 
-    # -- fingerprint support ----------------------------------------------------
+    # -- comparison support -----------------------------------------------------
 
     def structural_buffers(self) -> List[np.ndarray]:
         """The canonical buffers that determine routing behaviour.
 
         Everything a deterministic routing algorithm reads off the
-        structure, in fixed order: hashing these (plus names, roles
-        and ``meta["topology"]``) yields a digest that is equal iff
-        forwarding tables will be bit-identical.
+        structure, in fixed order: two views with equal buffers route
+        bit-identically.  (The engine fingerprint hashes what these
+        are a function of instead, so it never builds a view.)
         """
         return [
             self.channel_src,

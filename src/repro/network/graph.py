@@ -9,7 +9,7 @@ The model is deliberately array-oriented: nodes and channels are dense
 integer ids, adjacency is a list of channel-id lists, and the ``csr``
 property exposes the shared contiguous array core
 (:class:`repro.network.csr.CSRView`) that the CDG machinery, the
-routing hot paths and the engine fingerprint all operate on.
+routing hot paths and the shm fabric all operate on.
 Human-readable names live in ``node_names`` purely for diagnostics.
 Networks are immutable after construction — fault injection produces a
 *new* network (see :mod:`repro.network.faults`), which keeps
@@ -30,6 +30,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.network.csr import CSRView
@@ -67,7 +69,10 @@ class Network:
     """Immutable interconnection network (multigraph of directed channels).
 
     Construct via :class:`NetworkBuilder` or a topology generator from
-    :mod:`repro.network.topologies`.
+    :mod:`repro.network.topologies`; ``links`` is a sequence of
+    ``(u, v)`` node-id pairs or an ``int[L, 2]`` array of them.  The
+    lists below are built from arrays in a few passes (no per-link
+    Python step); the first invalid link or node raises ``ValueError``.
 
     Attributes
     ----------
@@ -106,46 +111,41 @@ class Network:
         if len(self.node_names) != n_nodes:
             raise ValueError("node_names length mismatch")
 
-        self.channel_src: List[int] = []
-        self.channel_dst: List[int] = []
-        self.channel_reverse: List[int] = []
-        self.out_channels: List[List[int]] = [[] for _ in range(n_nodes)]
-        self.in_channels: List[List[int]] = [[] for _ in range(n_nodes)]
-
-        for (u, v) in links:
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise ValueError(f"link endpoint out of range: ({u}, {v})")
-            if u == v:
-                raise ValueError(f"self-loop link at node {u}")
-            a = len(self.channel_src)      # u -> v
-            b = a + 1                      # v -> u
-            self.channel_src += [u, v]
-            self.channel_dst += [v, u]
-            self.channel_reverse += [b, a]
-            self.out_channels[u].append(a)
-            self.in_channels[v].append(a)
-            self.out_channels[v].append(b)
-            self.in_channels[u].append(b)
-
-        self.n_channels = len(self.channel_src)
+        ends = _link_ends(links, n_nodes)
+        # channel 2i is link i's u -> v, 2i+1 its v -> u: the sources
+        # interleave (u, v) pairs, the heads the same pairs swapped
+        src = ends.reshape(-1)
+        dst = ends[:, ::-1].reshape(-1)
+        # a node's out- and in-channels, ascending, are one stable sort
+        # of the channel sources / heads; every link adds one of each at
+        # both its ends, so out- and in-degree are one bincount
+        degree = np.bincount(src, minlength=n_nodes)
+        ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(degree, out=ptr[1:])
+        _fill_lists(self, src, dst, np.arange(len(src)) ^ 1,
+                    ptr, np.argsort(src, kind="stable"),
+                    ptr, np.argsort(dst, kind="stable"))
         self._csr_view = None  # lazily built CSR core (see .csr)
-        self._validate()
+        self._validate(degree, ends)
 
     # -- construction helpers -------------------------------------------------
 
-    def _validate(self) -> None:
-        for node in range(self.n_nodes):
-            degree = len(self.out_channels[node])
-            if degree == 0:
+    def _validate(self, degree: np.ndarray, ends: np.ndarray) -> None:
+        """Def. 1: every node linked, terminals exactly once, and the
+        whole network connected; the first failing node is named."""
+        terminal = ~np.array(self._switch, dtype=bool)
+        bad = (degree == 0) | (terminal & (degree != 1))
+        if bad.any():
+            node = int(bad.argmax())
+            if degree[node] == 0:
                 raise ValueError(
                     f"node {self.node_names[node]} is disconnected"
                 )
-            if not self._switch[node] and degree != 1:
-                raise ValueError(
-                    f"terminal {self.node_names[node]} has degree {degree}"
-                    " (Def. 1 requires exactly one link)"
-                )
-        if not self.is_connected():
+            raise ValueError(
+                f"terminal {self.node_names[node]} has degree "
+                f"{int(degree[node])} (Def. 1 requires exactly one link)"
+            )
+        if not _connected(self.n_nodes, ends):
             raise ValueError("network must be connected (Def. 1)")
 
     # -- basic queries ---------------------------------------------------------
@@ -179,8 +179,8 @@ class Network:
 
         All hot-path consumers — the complete CDG, the Nue routing
         step, the baseline table builders, fault rebuilding and the
-        engine fingerprint — read this one view instead of re-deriving
-        adjacency; see :mod:`repro.network.csr`.
+        fabric's network export — read this one view instead of
+        re-deriving adjacency; see :mod:`repro.network.csr`.
         """
         if self._csr_view is None:
             from repro.network.csr import CSRView
@@ -245,20 +245,10 @@ class Network:
     # -- traversal -------------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """BFS connectivity check over the undirected structure."""
-        seen = [False] * self.n_nodes
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            node = stack.pop()
-            for cid in self.out_channels[node]:
-                nxt = self.channel_dst[cid]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    count += 1
-                    stack.append(nxt)
-        return count == self.n_nodes
+        """Connectivity of the undirected structure (one array pass)."""
+        ends = np.array(self.channel_src[0::2] + self.channel_dst[0::2],
+                        dtype=np.int64).reshape(2, -1).T
+        return _connected(self.n_nodes, ends)
 
     def bfs_levels(self, root: int) -> List[int]:
         """Hop distance of every node from ``root`` (-1 if unreachable)."""
@@ -297,6 +287,69 @@ class Network:
             f"Network({self.name!r}, nodes={self.n_nodes}, "
             f"switches={len(self.switches)}, links={self.n_links})"
         )
+
+
+def _link_ends(links, n_nodes: int) -> np.ndarray:
+    """``links`` as an ``int64[L, 2]`` array of checked endpoints.
+
+    Raises the first bad link's error, in link order: an endpoint out
+    of range or a self-loop."""
+    ends = np.asarray(links, dtype=np.int64)
+    if ends.size == 0:
+        return ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ValueError("links must be (u, v) pairs")
+    u, v = ends[:, 0], ends[:, 1]
+    bad = (u < 0) | (u >= n_nodes) | (v < 0) | (v >= n_nodes) | (u == v)
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = int(u[i]), int(v[i])
+        if not (0 <= a < n_nodes and 0 <= b < n_nodes):
+            raise ValueError(f"link endpoint out of range: ({a}, {b})")
+        raise ValueError(f"self-loop link at node {a}")
+    return ends
+
+
+def _connected(n_nodes: int, ends: np.ndarray) -> bool:
+    """Whether the links ``ends`` (``int64[L, 2]``) connect all nodes.
+
+    Label propagation with pointer jumping: every node points at a
+    node of its component with a smaller id, each round hooks the
+    larger of two linked roots under the smaller, then shortcuts every
+    pointer to its root — a few rounds on any fabric, where a BFS
+    takes one Python step per node."""
+    parent = np.arange(n_nodes, dtype=np.int64)
+    u, v = ends[:, 0], ends[:, 1]
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            return bool((parent == 0).all())
+        low = np.minimum(pu[split], pv[split])
+        np.minimum.at(parent, pu[split], low)
+        np.minimum.at(parent, pv[split], low)
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
+
+
+def _fill_lists(net: "Network", src: np.ndarray, dst: np.ndarray,
+                reverse: np.ndarray, out_ptr: np.ndarray,
+                out_idx: np.ndarray, in_ptr: np.ndarray,
+                in_idx: np.ndarray) -> None:
+    """Set ``net``'s public channel and adjacency lists from arrays:
+    endpoint / reverse ids per channel, and the out / in channels of
+    node ``v`` as ``*_idx[*_ptr[v]:*_ptr[v + 1]]``."""
+    net.channel_src = src.tolist()
+    net.channel_dst = dst.tolist()
+    net.channel_reverse = reverse.tolist()
+    net.n_channels = len(net.channel_src)
+    for attr, ptr, idx in (("out_channels", out_ptr, out_idx),
+                           ("in_channels", in_ptr, in_idx)):
+        flat, bounds = idx.tolist(), ptr.tolist()
+        setattr(net, attr, [flat[a:b] for a, b in zip(bounds, bounds[1:])])
 
 
 class NetworkBuilder:

@@ -24,15 +24,19 @@ straight at the target), and the channel
 Terminal rows are their injection channel, the destination switch's
 row its eject channel, the destination's own row ``-1``.
 
+**No fan-out.** One route is one call over all destinations in this
+process, with one :class:`TorusGeometry` and one step table: at
+Table-1 size the columns take less time than a process pool's
+round trip, so ``workers`` is accepted and unused (as in the other
+single-pass baselines) and the table is private memory.
+
 **Error order.** When some step has no channel (``count == 0``: the
 neighbour switch or every link to it is gone), the error raised is
 the scalar walk's :class:`RoutingError` for the first failing
 ``(column, node)`` in destination-major, node-ascending order —
 produced by calling :meth:`TorusGeometry.step_channel` on that cell.
-Shards are contiguous column runs and the engine re-raises the first
-failing shard in task order, so the text does not depend on the
-worker count.  ``tests/routing/test_dor_oracle.py`` keeps the scalar
-walk as the oracle for tables and errors alike.
+``tests/routing/test_dor_oracle.py`` keeps the scalar walk as the
+oracle for tables and errors alike.
 """
 
 from __future__ import annotations
@@ -42,12 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import (
-    resolve_workers,
-    run_layer_tasks,
-    shard_destinations,
-    tablestore,
-)
 from repro.network.graph import Network
 from repro.network.topologies.torus import torus_coordinates
 from repro.routing.base import (
@@ -150,7 +148,7 @@ _BLOCK_COLS = 16
 class _StepTable:
     """Array form of :meth:`TorusGeometry.step_channel`, per network.
 
-    Built once per network (one shard call) from ``net.csr``:
+    Built once per route from ``net.csr``:
 
     * ``switches`` — switch node ids, ascending; rows of the step
       table below are in this order (a switch's *position*);
@@ -293,27 +291,18 @@ class _StepTable:
             f"step table marks a missing step at node {node}, dest {dest}")
 
 
-def _dor_columns(
-    ctx: Tuple[Network, Optional["tablestore.SegmentHandle"]],
-    shard: Tuple[Sequence[int], int],
-) -> Optional[np.ndarray]:
-    """Worker: DOR forwarding columns for one destination shard.
+def _dor_columns(steps: _StepTable, dests: Sequence[int]) -> np.ndarray:
+    """DOR forwarding columns of every node towards ``dests``.
 
-    Each column is a pure function of ``(net, dest)`` — no state is
-    shared across destinations — so shard boundaries cannot change the
-    output and the merged table is bit-identical to the serial sweep.
-    Columns are computed :data:`_BLOCK_COLS` at a time over every
-    switch at once (see the module docstring).  The block is written
-    straight into the parent's shm table segment when one exists
-    (returning ``None``); without a handle the array itself returns
-    and the parent merges it.
+    Each column is a pure function of ``(net, dest)``; they are
+    computed :data:`_BLOCK_COLS` at a time over every switch at once
+    (see the module docstring).  Raises the scalar walk's
+    :class:`RoutingError` for the first failing ``(column, node)``.
     """
-    net, handle = ctx
-    dest_shard, col0 = shard
-    steps = _StepTable(TorusGeometry(net))
-    dests = np.asarray(dest_shard, dtype=np.int64).reshape(-1)
-    block = np.empty((net.n_nodes, len(dests)), dtype=np.int32)
-    block[steps.terminals, :] = steps.injection[steps.terminals, None]
+    n_nodes = len(steps.home)
+    dests = np.asarray(dests, dtype=np.int64).reshape(-1)
+    table = np.empty((n_nodes, len(dests)), dtype=np.int32)
+    table[steps.terminals, :] = steps.injection[steps.terminals, None]
     sw = steps.switches
     for j0 in range(0, len(dests), _BLOCK_COLS):
         d = dests[j0:j0 + _BLOCK_COLS]
@@ -322,48 +311,32 @@ def _dor_columns(
             jj = int(bad.any(axis=1).argmax())
             steps.raise_step_error(int(d[jj]), int(sw[bad[jj].argmax()]))
         cols = np.arange(j0, j0 + len(d))
-        block[sw, j0:j0 + len(d)] = chan.T
+        table[sw, j0:j0 + len(d)] = chan.T
         home = steps.home[d]
         eject = home != d  # a terminal destination: its switch ejects
-        block[home[eject], cols[eject]] = steps.eject[d[eject]]
-        block[d, cols] = -1
-    cols = list(range(col0, col0 + len(dests)))
-    if tablestore.write_columns(handle, cols, block):
-        return None  # landed in shm; VL stays at the zero-fill
-    return block
+        table[home[eject], cols[eject]] = steps.eject[d[eject]]
+        table[d, cols] = -1
+    return table
 
 
 class DORRouting(RoutingAlgorithm):
-    """Deterministic dimension-order routing on tori/meshes."""
+    """Deterministic dimension-order routing on tori/meshes.
+
+    ``workers`` is accepted for API uniformity and unused: the columns
+    are a few array passes in this process (see the module docstring).
+    """
 
     name = "dor"
 
     def _route(
         self, net: Network, dests: List[int], seed: SeedLike
     ) -> RoutingResult:
-        TorusGeometry(net)  # applicability check in the caller process
-        workers = resolve_workers(self.workers, len(dests))
-        raw_shards = shard_destinations(dests, workers)
-        # column-offset shards so workers can scatter straight into the
-        # request's table segment (handle None = no segment allocated)
-        table = tablestore.create_table(net.n_nodes, len(dests), workers)
-        shards: List[Tuple[Sequence[int], int]] = []
-        col = 0
-        for shard in raw_shards:
-            shards.append((shard, col))
-            col += len(shard)
-        blocks = run_layer_tasks(_dor_columns, (net, table.handle),
-                                 shards, workers=workers)
-        for (shard, col0), block in zip(shards, blocks):
-            if block is not None:  # not written in place: merge here
-                table.next_channel[:, col0:col0 + block.shape[1]] = block
-        result = RoutingResult(
+        next_channel = _dor_columns(_StepTable(TorusGeometry(net)), dests)
+        return RoutingResult(
             net=net,
             dests=dests,
-            next_channel=table.next_channel,
-            vl=table.vl,
+            next_channel=next_channel,
+            vl=np.zeros(next_channel.shape, dtype=np.int8),
             n_vls=1,
             algorithm=self.name,
         )
-        result.attach_table(table)
-        return result

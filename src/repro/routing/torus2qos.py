@@ -278,34 +278,6 @@ class Torus2QoSRouting(RoutingAlgorithm):
                         f"ring (dim {dim}, fixed coords {rest})"
                     )
 
-    def _arc_passable(
-        self,
-        geom: TorusGeometry,
-        coord: Tuple[int, ...],
-        dim: int,
-        direction: int,
-        target_pos: int,
-    ) -> bool:
-        return _arc_passable(geom, coord, dim, direction, target_pos)
-
-    def _choose_direction(
-        self,
-        geom: TorusGeometry,
-        coord: Tuple[int, ...],
-        dim: int,
-        target_pos: int,
-    ) -> Optional[int]:
-        return _choose_direction(geom, coord, dim, target_pos)
-
-    def _detour_hop(
-        self,
-        geom: TorusGeometry,
-        coord: Tuple[int, ...],
-        dim: int,
-        target_pos: int,
-    ) -> Tuple[int, int]:
-        return _detour_hop(geom, coord, dim, target_pos)
-
     # -- routing ----------------------------------------------------------------
 
     def _route(

@@ -12,12 +12,20 @@ The codec byte makes every frame self-describing.  There are two:
 arrays, and ``B`` for messages carrying numpy arrays (forwarding
 tables), which never round-trip through nested JSON lists.
 :func:`encode_frame` picks by content; a ``B`` payload carries the raw
-little-endian array buffers out of band::
+little-endian array buffers out of band, each starting at an 8-byte
+aligned payload offset (zero padding before it), so the arrays a
+receiver restores over a payload it read into its own buffer are
+aligned::
 
-    +-------+--------------+---------------------------+---------------+
-    | ``J`` | n_buffers    | n x (4-byte BE length +   | JSON-encoded  |
-    |       | (4 bytes BE) |      raw LE array bytes)  | message       |
-    +-------+--------------+---------------------------+---------------+
+    +-------+---------+--------------+— per buffer ——————————————+---------------+
+    | ``J`` | version | n_buffers    | 4-byte BE length, zero    | JSON-encoded  |
+    |       | (1 byte)| (4 bytes BE) | pad to 8, raw LE bytes    | message       |
+    +-------+---------+--------------+———————————————————————————+---------------+
+
+``version`` is :data:`WIRE_VERSION`, also the messages'
+``schema_version``; a binary payload of any other version (the
+unpadded layout of version 2 reads as version 0 there) is refused with
+a :class:`ProtocolError` that names both versions.
 
 In the inner message each extracted array is replaced by a placeholder
 dict ``{"__ndarray__": i, "dtype": "<i4", "shape": [r, c]}``; decoding
@@ -55,6 +63,7 @@ __all__ = [
     "decode_frame",
     "HEADER_SIZE",
     "MAX_FRAME_BYTES",
+    "WIRE_VERSION",
     "NDARRAY_KEY",
     "ProtocolError",
     "ServiceError",
@@ -69,6 +78,14 @@ __all__ = [
 #: codec byte + 4-byte big-endian payload length
 HEADER_SIZE = 5
 _LEN = struct.Struct(">I")
+
+#: version of the wire: the binary payload layout (byte 1 of a ``B``
+#: payload) and every message's ``schema_version``.  3: binary buffers
+#: start at 8-byte aligned payload offsets
+WIRE_VERSION = 3
+
+#: payload offsets of binary buffers are multiples of this
+_BUFFER_ALIGN = 8
 
 #: refuse frames above this size — a corrupt header must not make a
 #: reader allocate gigabytes
@@ -246,16 +263,25 @@ def _has_ndarray(obj: Any) -> bool:
     return False
 
 
+def _pad(offset: int) -> int:
+    """Zero bytes that move ``offset`` to the next buffer alignment."""
+    return -offset % _BUFFER_ALIGN
+
+
 def _binary_parts(msg: Any) -> List[Any]:
     """Binary frame payload as a list of byte buffers, in wire order:
-    inner byte, buffer table (each buffer a view of its array), inner
-    message."""
+    inner byte, version, buffer table (each buffer a view of its
+    array, after its length and padding), inner message."""
     buffers: List[memoryview] = []
     stripped = _extract_ndarrays(msg, buffers)
-    parts: List[Any] = [_JSON.byte, _LEN.pack(len(buffers))]
+    parts: List[Any] = [_JSON.byte, bytes((WIRE_VERSION,)),
+                        _LEN.pack(len(buffers))]
+    offset = 6
     for buf in buffers:
-        parts.append(_LEN.pack(buf.nbytes))
+        pad = _pad(offset + 4)
+        parts.append(_LEN.pack(buf.nbytes) + bytes(pad))
         parts.append(buf)
+        offset += 4 + pad + buf.nbytes
     parts.append(_JSON.dumps(stripped))
     return parts
 
@@ -269,7 +295,8 @@ def _binary_loads(payload: Any) -> Any:
     """Decode a binary payload (any bytes-like object) without copying
     it: array buffers and the inner message are slices of one
     read-only view, so restored arrays stay read-only even over a
-    ``bytearray`` the transport filled."""
+    ``bytearray`` the transport filled, and aligned wherever the
+    payload itself starts aligned."""
     payload = memoryview(payload).toreadonly()
     if not payload:
         raise ProtocolError("empty binary frame payload")
@@ -278,17 +305,20 @@ def _binary_loads(payload: Any) -> Any:
     if payload[:1] != _JSON.byte:
         raise ProtocolError(
             f"unknown codec byte {payload[0]:#04x} inside a binary frame")
-    offset = 1
-    if len(payload) < offset + 4:
+    if len(payload) < 6:
         raise ProtocolError("truncated binary frame buffer table")
-    (n_buffers,) = _LEN.unpack(payload[offset:offset + 4])
-    offset += 4
+    if payload[1] != WIRE_VERSION:
+        raise ProtocolError(
+            f"binary frame version {payload[1]} not supported "
+            f"(this side speaks {WIRE_VERSION})")
+    (n_buffers,) = _LEN.unpack(payload[2:6])
+    offset = 6
     buffers: List[memoryview] = []
     for _ in range(n_buffers):
         if len(payload) < offset + 4:
             raise ProtocolError("truncated binary frame buffer length")
         (length,) = _LEN.unpack(payload[offset:offset + 4])
-        offset += 4
+        offset += 4 + _pad(offset + 4)
         if len(payload) < offset + length:
             raise ProtocolError(
                 f"binary frame buffer of {length} bytes overruns the "

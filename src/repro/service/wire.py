@@ -18,7 +18,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.service.protocol import ServiceBadRequest
+from repro.service.protocol import WIRE_VERSION, ServiceBadRequest
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,8 +44,9 @@ __all__ = [
 #: bump on any incompatible message-shape change; both sides reject
 #: every other version with ``ServiceBadRequest``.  In v2 forwarding
 #: tables cross the wire as raw ndarrays (the protocol ships them as
-#: out-of-band little-endian buffers).
-SCHEMA_VERSION = 2
+#: out-of-band little-endian buffers); v3 aligns those buffers.  One
+#: number for the whole wire: the protocol's binary frames carry it too.
+SCHEMA_VERSION = WIRE_VERSION
 
 
 class Kind:

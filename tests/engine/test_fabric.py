@@ -172,6 +172,76 @@ class TestAttachLRU:
                 for h in handles[4:-1] + [handles[-1], handles[0], handles[2]]]
 
 
+    def test_task_end_detaches_request_segments(self, monkeypatch):
+        """A task's table and scratch mappings go when it returns; the
+        network stays for the next request of the same fabric."""
+        from repro.engine import tablestore
+
+        net = ring(5, 1)
+        table = tablestore.create_table(300, 300, 2)  # a member-size table
+        big = np.zeros(fabric.SCRATCH_MIN_BYTES // 8, dtype=np.float64)
+        packed, _ = fabric.pack_ctx((net, table.next_channel, big))
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(fabric, "_owned", {}, raising=False)
+                patch.setattr(fabric, "_attached", type(fabric._attached)())
+                result, _events = fabric._run_fabric_task(
+                    _attached_kinds, packed, None, False)
+                assert sorted(result) == ["net", "scr", "tbl"]
+                assert [m.net is not None
+                        for m in fabric._attached.values()] == [True]
+        finally:
+            fabric.release_ctx(packed)
+            table.release()
+
+
+def _attached_kinds(ctx, task):
+    """What the running task has mapped, by segment kind."""
+    return [name[len(fabric.SEGMENT_PREFIX):][:3]
+            for name in fabric._attached]
+
+
+def _status_mb(pid):
+    """``VmRSS`` and ``RssShmem`` of ``pid`` in MiB."""
+    out = {}
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            key, _, value = line.partition(":")
+            if key in ("VmRSS", "RssShmem"):
+                out[key] = int(value.split()[0]) / 1024
+    return out
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/status"),
+                    reason="needs /proc/<pid>/status")
+def test_pool_workers_keep_no_tables_across_requests():
+    """Twenty ``workers=2`` Nue routes of distinct fabrics: a worker's
+    shared memory holds at most its network LRU — no table of a past
+    request — and its RSS is flat once that LRU is full."""
+    from repro.network.csr import EXPORTED_BUFFERS
+    from repro.routing import make_algorithm
+
+    samples = []
+    for i in range(20):
+        net = torus([3, 3], 40)
+        net.name = f"rss-{i}"  # a distinct fingerprint: a new export
+        make_algorithm("nue", max_vls=2, workers=2).route(net, seed=1)
+        samples.append({pid: _status_mb(pid)
+                        for pid in fabric._pool._processes})
+    net_mb = sum(getattr(net.csr, key).nbytes
+                 for key in EXPORTED_BUFFERS) / 2 ** 20
+    # a worker's half of one table: what each kept table would add
+    half_table_mb = net.n_nodes * len(net.terminals) * 5 / 2 ** 21
+    cap = fabric._ATTACH_CAPACITY
+    for pid, last in samples[-1].items():
+        history = [s[pid] for s in samples]
+        # past the first request only more networks may be mapped
+        grown = last["RssShmem"] - samples[0][pid]["RssShmem"]
+        assert grown <= (cap - 1) * net_mb + half_table_mb / 2, (
+            net_mb, half_table_mb, history)
+        assert last["VmRSS"] - samples[cap + 1][pid]["VmRSS"] < 4, history
+
+
 class TestPersistentPool:
     def test_pool_survives_across_calls(self):
         spawns_before = fabric.pool_stats()["spawns"]
@@ -399,14 +469,15 @@ class TestResultReturn:
         assert _shm_leaks() == []
 
     def test_table_store_route_writes_columns_in_place(self):
-        # a store-backed DOR fan-out lands every column via
+        # a store-backed Nue fan-out lands every layer's columns via
         # write_columns; no worker returns a block
         from repro.engine import tablestore
-        from repro.routing.dor import DORRouting
+        from repro.routing import make_algorithm
 
         obs.enable(obs.MemorySink(keep_events=False))
         net = torus([4, 4], 4)
-        result = DORRouting(workers=2).route(net, seed=5)
+        result = make_algorithm("nue", max_vls=2, workers=2).route(
+            net, seed=5)
         backed = fabric._member_for(result.next_channel) is not None
         result.release()
         counts = dict(obs.counters())

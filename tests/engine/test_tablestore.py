@@ -19,7 +19,9 @@ from digests import result_digest
 from repro import api, obs
 from repro.engine import fabric, tablestore
 from repro.network.topologies import torus
-from repro.routing import dor, make_algorithm
+from repro.core import nue
+from repro.resilience.engine import _reachable_pairs
+from repro.routing import make_algorithm
 from repro.routing.dor import DORRouting
 
 pytestmark = pytest.mark.usefixtures("clean_fabric")
@@ -102,7 +104,7 @@ class TestOwnershipSemantics:
 
     def test_deepcopy_of_result_detaches_from_store(self):
         net = torus([3, 3], 1)
-        result = DORRouting(workers=FANOUT).route(net, seed=1)
+        result = _route_nue(net, FANOUT)
         if not _in_segment(result):
             result.release()
             pytest.skip("no shm on this platform")
@@ -199,10 +201,12 @@ class TestFallbacks:
     def test_no_shm_tables_are_bit_identical(self, scenario, workers,
                                              monkeypatch):
         """A full ``/dev/shm`` changes where a fan-out's tables live,
-        never their bits; one worker never asks for a segment."""
+        never their bits; one worker never asks for a segment, and
+        neither does DOR, which never fans out."""
         net = torus([3, 3, 3], 1)
+        fans_out = workers > 1 and scenario is not _route_dor
         with_shm, counts = _counted(scenario, net, workers)
-        if workers > 1:
+        if fans_out:
             assert counts.get("fabric.table_creates", 0) >= 1 \
                 or not os.path.isdir("/dev/shm")
         else:
@@ -215,7 +219,7 @@ class TestFallbacks:
         without, counts = _counted(scenario, net, workers)
         assert not _in_segment(without)
         assert result_digest(without) == expected
-        if workers > 1:
+        if fans_out:
             assert counts.get("fabric.table_fallbacks", 0) >= 1
         else:
             assert counts.get("fabric.table_fallbacks", 0) == 0
@@ -251,7 +255,7 @@ class TestZeroCopyFanOut:
         net = torus([4, 4], 2)
         obs.enable(obs.MemorySink(keep_events=False))
         try:
-            result = DORRouting(workers=2).route(net, seed=7)
+            result = _route_nue(net, 2)
             backed = _in_segment(result)
             result.release()
             counts = dict(obs.counters())
@@ -272,7 +276,7 @@ class TestZeroCopyFanOut:
         # big enough that next_channel crosses SCRATCH_MIN_BYTES —
         # below that, pack_ctx ships small arrays inline by design
         net = torus([6, 6], 8)
-        result = DORRouting(workers=2).route(net, seed=7)
+        result = _route_nue(net, 2)
         if not _in_segment(result):
             result.release()
             pytest.skip("no shm on this platform")
@@ -290,6 +294,36 @@ class TestZeroCopyFanOut:
         assert counts.get("fabric.scratch_exports", 0) == 0
 
 
+    def test_fanout_route_and_audit_stay_zero_copy(self):
+        """The table-store half of the scale guard, on a router that
+        still fans out: Nue k=2 at ``workers=2`` lands every layer's
+        columns in one table segment, and the reachability audit
+        re-attaches that segment instead of copying the table."""
+        workers = 2
+        net = torus([6, 6], 8)  # next_channel above SCRATCH_MIN_BYTES
+        obs.enable(obs.MemorySink(keep_events=False))
+        try:
+            result = _route_nue(net, workers)
+            backed = _in_segment(result)
+            reachable, total = _reachable_pairs(result, workers=workers)
+            digest = result_digest(result)
+            result.release()
+            counts = dict(obs.counters())
+        finally:
+            obs.disable()
+            obs.reset()
+        if not backed:
+            pytest.skip("no shm on this platform")
+        assert counts.get("fabric.table_creates", 0) == 1
+        assert counts.get("fabric.table_writes", 0) >= workers
+        assert counts.get("fabric.table_fallbacks", 0) == 0
+        assert counts.get("fabric.table_ctx_hits", 0) >= 1
+        assert counts.get("fabric.net_pickle_fallbacks", 0) == 0
+        assert reachable == total > 0
+        serial = _route_nue(net, 1)
+        assert result_digest(serial) == digest
+
+
 def _worker_dies(ctx, shard):
     """Module-level, so a pool worker can run it in place of a shard."""
     raise RuntimeError("worker died mid-write")
@@ -302,17 +336,17 @@ class TestCrashCleanup:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(dor, "run_layer_tasks", interrupted)
+        monkeypatch.setattr(nue, "run_layer_tasks", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            DORRouting(workers=2).route(net, seed=1)
+            _route_nue(net, 2)
         assert not tablestore.live_tables()
         assert not [s for s in _shm_leaks() if "tbl" in s]
 
     def test_worker_error_mid_route_unlinks_segment(self, monkeypatch):
         net = torus([3, 3], 1)
-        monkeypatch.setattr(dor, "_dor_columns", _worker_dies)
+        monkeypatch.setattr(nue, "_route_layer", _worker_dies)
         with pytest.raises(RuntimeError, match="mid-write"):
-            DORRouting(workers=FANOUT).route(net, seed=1)
+            _route_nue(net, FANOUT)
         assert not tablestore.live_tables()
         assert not [s for s in _shm_leaks() if "tbl" in s]
 

@@ -103,3 +103,30 @@ def test_repair_and_grow_transitions_match_scratch_routings():
             np.testing.assert_array_equal(
                 grown.route.next_channel_array(), scratch.next_channel)
     assert tablestore.live_tables() == {}
+
+
+def test_a_resident_fabric_is_fingerprinted_without_a_csr(monkeypatch):
+    """The daemon parses and fingerprints every request's topology;
+    only the copy it admits needs a CSR (for its shm export).  A
+    request for an already-admitted fabric builds none."""
+    from repro.network import csr
+
+    built = []
+    real_init = csr.CSRView.__init__
+
+    def counting_init(self, net):
+        built.append(net.name)
+        real_init(self, net)
+
+    monkeypatch.setattr(csr.CSRView, "__init__", counting_init)
+    net = topologies.torus([4, 4, 3], 1)
+    request = RouteRequest(topology=net, algorithm="dor", max_vls=1,
+                           seed=1)
+    with serve_in_thread(["tcp://127.0.0.1:0"]) as (_service, bound):
+        with ServiceClient(bound[0]) as client:
+            first = client.route(request)
+            assert len(built) == 1  # the admitted copy's export
+            again = client.route(request)
+    assert len(built) == 1
+    np.testing.assert_array_equal(again.next_channel_array(),
+                                  first.next_channel_array())

@@ -21,6 +21,7 @@ from repro.service import AsyncServiceClient, serve_in_thread
 from repro.service import comm as comms
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    WIRE_VERSION,
     ProtocolError,
     ServiceBadRequest,
     decode_frame,
@@ -54,7 +55,21 @@ def _frame(byte, payload):
     return byte + struct.pack(">I", len(payload)) + payload
 
 
-def _binary_payload(message, buffers):
+def _binary_payload(message, buffers, version=WIRE_VERSION):
+    """A ``B`` payload by hand: version byte, and each buffer after its
+    length and the zero padding to an 8-byte payload offset."""
+    parts = [b"J", bytes((version,)), struct.pack(">I", len(buffers))]
+    offset = 6
+    for buf in buffers:
+        pad = -(offset + 4) % 8
+        parts += [struct.pack(">I", len(buf)), bytes(pad), buf]
+        offset += 4 + pad + len(buf)
+    return b"".join(parts) + json.dumps(
+        message, separators=(",", ":")).encode()
+
+
+def _unpadded_payload(message, buffers):
+    """The version-2 ``B`` payload: no version byte, no padding."""
     parts = [b"J", struct.pack(">I", len(buffers))]
     for buf in buffers:
         parts += [struct.pack(">I", len(buf)), buf]
@@ -174,7 +189,34 @@ MALFORMED = {
         {"__ndarray__": 0, "dtype": "<i4", "shape": [1]}, [b"abc"])),
     "deep binary message": _frame(b"B", _binary_payload(
         json.loads("[" * 600 + "]" * 600), [])),
+    "version-2 binary layout": _frame(b"B", _unpadded_payload(
+        {"__ndarray__": 0, "dtype": "<i4", "shape": [1]}, [b"abcd"])),
+    "unknown binary version": _frame(b"B", _binary_payload(
+        {"__ndarray__": 0, "dtype": "<i4", "shape": [1]}, [b"abcd"],
+        version=WIRE_VERSION + 1)),
 }
+
+
+def test_placeholder_helper_builds_what_the_encoder_does():
+    """The hand-built payloads above are the real layout, so the
+    malformed classes reach the check they are named after."""
+    arr = np.arange(3, dtype=np.int32)
+    frame = encode_frame({"t": arr})
+    assert frame[5:] == _binary_payload(
+        {"t": {"__ndarray__": 0, "dtype": "<i4", "shape": [3]}},
+        [arr.tobytes()])
+
+
+@pytest.mark.parametrize("version, text", [
+    (None, "binary frame version 0 not supported"),
+    (WIRE_VERSION + 1, f"version {WIRE_VERSION + 1} not supported"),
+])
+def test_other_binary_versions_are_refused_by_name(version, text):
+    message = {"__ndarray__": 0, "dtype": "<i4", "shape": [1]}
+    payload = _unpadded_payload(message, [b"abcd"]) if version is None \
+        else _binary_payload(message, [b"abcd"], version=version)
+    with pytest.raises(ProtocolError, match=text):
+        decode_frame(_frame(b"B", payload))
 
 
 class TestDecodersRaiseOnlyProtocolError:

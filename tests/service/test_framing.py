@@ -88,6 +88,63 @@ def test_large_frames_round_trip_bit_equal_and_read_only(address):
         _assert_same_tables(got, want)
 
 
+def _odd_msg(n_nodes):
+    """Buffers of odd byte lengths ahead of wider dtypes: without the
+    padding every buffer after the first would start unaligned."""
+    rng = np.random.default_rng(n_nodes)
+    return {"id": n_nodes, "ok": True, "result": {
+        "odd": rng.integers(0, 8, 21, dtype=np.int8),
+        "next_channel": rng.integers(-1, 1 << 20, (n_nodes, 333),
+                                     dtype=np.int32),
+        "w": rng.random(5),
+    }}
+
+
+def _assert_aligned(msg):
+    for arr in msg["result"].values():
+        assert arr.ctypes.data % 8 == 0, arr.dtype
+        assert arr.flags.aligned and not arr.flags.writeable
+
+
+def test_received_arrays_are_aligned(address):
+    """Each buffer starts at an 8-byte payload offset, and both sides
+    read a payload into a buffer of its own: small frames (one
+    ``readexactly``) and sliced large ones restore aligned arrays."""
+    msgs = [_odd_msg(4), _odd_msg(4096)]
+    assert len(encode_frame(msgs[1])) > SLICE_BYTES
+    server_seen = []
+
+    async def echo(comm):
+        try:
+            while True:
+                msg = await comm.recv()
+                server_seen.append(msg)
+                await comm.send(msg)
+        except CommClosedError:
+            pass
+        finally:
+            await comm.close()
+
+    async def main():
+        listener = await listen(address, echo)
+        comm = await connect(listener.address)
+        try:
+            for msg in msgs:
+                await comm.send(msg)
+                back = await comm.recv()
+                _assert_aligned(back)
+                for key, arr in msg["result"].items():
+                    np.testing.assert_array_equal(back["result"][key], arr)
+        finally:
+            await comm.close()
+            await listener.stop()
+
+    _run(main())
+    assert len(server_seen) == 2
+    for got in server_seen:
+        _assert_aligned(got)
+
+
 def test_concurrent_senders_never_interleave(address):
     msgs = [_table_msg(n_nodes=512, seed=s) for s in range(4)]
     received = []
