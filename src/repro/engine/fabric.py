@@ -181,7 +181,10 @@ _ATTACH_CAPACITY = 8
 #: new segment can never reuse a released one's name — forked pool
 #: workers inherit the parent's ``_owned`` map, and a name reuse would
 #: let a stale inherited mapping swallow the new segment's writes
-#: (``next()`` on it is atomic, so service threads never share a number)
+#: (``next()`` on it is atomic, so two threads allocating at once never
+#: share a number: an in-process :class:`~repro.service.core.RoutingService`
+#: allocates on its lane thread while the hosting program may route on
+#: its own)
 _seq = itertools.count(1)
 _owner_pid: Optional[int] = None
 

@@ -9,8 +9,8 @@ analytic scheme defeated by the faults).
 The Python constant factor makes the 4,000-terminal end of the sweep
 hours-long, so the default sweep stops at ``--max-dim 5`` (500
 terminals); the claims under test are *relative*: Nue tracks DFSSSP's
-complexity, Torus-2QoS stays ~an order faster, and only Nue keeps 100 %
-applicability as faults and size grow.  The run exits 1 when
+complexity, Torus-2QoS stays faster (paper: ~9x), and only Nue keeps
+100 % applicability as faults and size grow.  The run exits 1 when
 :func:`check` finds a broken paper-shape fact (it needs ``--max-dim``
 >= 4).
 """

@@ -143,14 +143,15 @@ class RoutingResult:
     def path_vls(self, src: int, dest: int) -> List[int]:
         """Virtual layer of each hop of the route ``src -> dest``.
 
-        The base implementation is the InfiniBand SL model: one layer
-        for the whole path, taken from ``vl[src, dest]``.  Routings
-        that transition VLs along a path (Torus-2QoS's datelines)
-        override this; the deadlock checker and the flit-level
-        simulator always consume per-hop VLs.
+        :meth:`_hop_vls` over this one route, so each result class has
+        one per-hop VL rule: the InfiniBand SL model here (one layer
+        for the whole path, ``vl[src, dest]``), Torus-2QoS's datelines
+        in its override.
         """
-        n_hops = len(self.path(src, dest))
-        return [int(self.vl[src, self._dest_index[dest]])] * n_hops
+        route = np.asarray(self.path(src, dest), dtype=np.int64)
+        return self._hop_vls(np.array([src]),
+                             np.array([self._dest_index[dest]]),
+                             np.array([0, len(route)]), route).tolist()
 
     def _hop_vls(self, src: np.ndarray, col: np.ndarray,
                  ptr: np.ndarray, channel: np.ndarray) -> np.ndarray:
@@ -158,8 +159,9 @@ class RoutingResult:
 
         Route ``p`` runs from node ``src[p]`` toward table column
         ``col[p]`` over ``channel[ptr[p]:ptr[p + 1]]``; returns one VL
-        per entry of ``channel``.  Same per-``(src, dest)`` model as
-        :meth:`path_vls`, and overridden by the same subclasses.
+        per entry of ``channel``.  The base model repeats the pair's
+        ``vl[src, dest]``; routings that transition VLs along a path
+        (Torus-2QoS's datelines) override it.
         """
         return np.repeat(self.vl[src, col], np.diff(ptr))
 

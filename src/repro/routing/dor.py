@@ -24,6 +24,14 @@ straight at the target), and the channel
 Terminal rows are their injection channel, the destination switch's
 row its eject channel, the destination's own row ``-1``.
 
+**One step table, two cell rules.**  The direction decision lives in
+per-dimension cells ``cells[k][t, p]``: the step a switch ``p`` takes
+when ``k`` is the first differing dimension and ``t`` the target
+position along it.  :meth:`_StepTable._direction_cells` fills them
+with DOR's rule; :mod:`repro.routing.torus2qos` subclasses the table
+with its fault-aware rule (ring bypass, detour) and reuses
+:func:`_dor_columns` unchanged, so both routings share one array pass.
+
 **No fan-out.** One route is one call over all destinations in this
 process, with one :class:`TorusGeometry` and one step table: at
 Table-1 size the columns take less time than a process pool's
@@ -96,10 +104,6 @@ class TorusGeometry:
             c: s for s, c in coords.items()
         }
         self.n_dims = len(self.dims)
-
-    def position_exists(self, coord: Tuple[int, ...]) -> bool:
-        """True when the switch at ``coord`` survived."""
-        return coord in self.switch_at
 
     def neighbor_coord(
         self, coord: Tuple[int, ...], dim: int, direction: int
@@ -219,19 +223,7 @@ class _StepTable:
             chans[has, k] = order[first[has] + k]
         self.chans = chans
         self.counts = counts
-        # per dimension k: the step-table cell (flat index into
-        # counts) each switch takes towards target coordinate t along
-        # k, as cells[k][t, p] — the direction rule applied once here
-        here = coords[sw].astype(np.int64)
-        row = np.arange(len(sw), dtype=np.int64) * n_dims * 2
-        self._cells = []
-        for k in range(n_dims):
-            t = np.arange(dims[k], dtype=np.int64)[:, None]
-            if geom.wraparound:  # shorter way around, ties go +1
-                neg = (t - here[:, k]) % dims[k] > (here[:, k] - t) % dims[k]
-            else:  # a mesh only ever walks straight at the target
-                neg = t <= here[:, k]
-            self._cells.append(row + 2 * k + neg)
+        self._cells = self._direction_cells()
 
         injection = np.asarray(csr.injection_channel, dtype=np.int64)
         term = self.terminals
@@ -245,6 +237,31 @@ class _StepTable:
         found = sorted_key[at] == q
         eject[term[found]] = order[at[found]]
         self.eject = eject
+
+    def _cell(self, dim: int, negative) -> np.ndarray:
+        """Flat index into :attr:`counts` of every switch's step along
+        ``dim`` (``negative``: the ``-1`` side, scalar or per switch)."""
+        n_dims = self.counts.shape[1]
+        p = np.arange(len(self.switches), dtype=np.int64)
+        return (p * n_dims + dim) * 2 + negative
+
+    def _dor_negative(self, dim: int) -> np.ndarray:
+        """``[t, p]``: does DOR step switch ``p`` the ``-1`` way towards
+        target coordinate ``t`` along ``dim``?"""
+        size = self.geom.dims[dim]
+        here = self.coords[self.switches, dim].astype(np.int64)
+        t = np.arange(size, dtype=np.int64)[:, None]
+        if self.geom.wraparound:  # shorter way around, ties go +1
+            return (t - here) % size > (here - t) % size
+        return t <= here  # a mesh only ever walks straight at the target
+
+    def _direction_cells(self) -> List[np.ndarray]:
+        """The cell rule: per dimension ``k``, the step-table cell each
+        switch takes towards target coordinate ``t`` along ``k``, as
+        ``cells[k][t, p]`` — here DOR's direction rule, applied once.
+        Subclasses swap the rule and keep everything else."""
+        return [self._cell(k, self._dor_negative(k))
+                for k in range(len(self.geom.dims))]
 
     def columns(self, dests: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Next channel of every switch towards each of ``dests``.

@@ -107,9 +107,6 @@ class FatTreeRouting(RoutingAlgorithm):
 
     name = "ftree"
 
-    def _tree_info(self, net: Network) -> Tuple[int, int, Dict[int, Tuple[int, List[int]]]]:
-        return _tree_info(net)
-
     def _route(
         self, net: Network, dests: List[int], seed: SeedLike
     ) -> RoutingResult:

@@ -10,25 +10,47 @@ paper evaluates: dimension-order routing with
   the destination is broken by a failed switch/link, the packet takes
   the other way around the ring (consistently per ``(node, dest)``, so
   the routing stays destination-based);
+* **detour around a dead cell**: when both arcs are broken (the target
+  position itself failed), the packet first steps one hop in a *later*
+  dimension whose side switch still reaches the target position; that
+  dimension is corrected in its own DOR phase;
 * **hard failure on a double fault**: two failures in one torus ring
   defeat the scheme — the paper calls this out as Torus-2QoS's limit
   ("will fail if a second switch failure occurs in the same torus
   ring") — and we raise :class:`RoutingError` exactly then.
 
+**One step table, another cell rule.**  At a switch, the next hop
+depends only on the switch, the first differing dimension ``k`` and
+the target position ``t`` along ``k`` — the same per-dimension cells
+``cells[k][t, p]`` DOR's :class:`~repro.routing.dor._StepTable` holds.
+:class:`_DetourSteps` fills them fault-aware, as array passes over the
+step table's ``counts``: an arc is passable when no step on it has a
+zero count (a prefix sum of blocked steps along each ring); the
+DOR-preferred direction if its arc is passable, else the opposite one,
+else the first ``(j > k, ±1)`` step whose side switch reaches ``t``.
+On a ring with no fault those are DOR's cells, and the columns are
+DOR's array pass.  A cell with no detour points at a step with no
+channel (one exists, since both arcs are blocked), so it is flagged
+exactly like DOR's missing steps: the error — ``no detour around dead
+cell`` — is raised only when a column uses such a cell, for the first
+failing ``(column, node)`` in destination-major, node-ascending
+order.  ``workers`` is accepted and unused (no fan-out, as for
+``dor``); ``tests/routing/test_torus2qos_oracle.py`` keeps the scalar
+per-``(node, destination)`` walk as the oracle.
+
 Because the virtual layer changes *along* a path (InfiniBand realises
 this with per-port SL2VL tables), :class:`TorusQoSResult` overrides
-``path_vls`` to expose per-hop VLs; the deadlock checker and the flit
+``_hop_vls`` to expose per-hop VLs; the deadlock checker and the flit
 simulator both consume that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from repro.engine import resolve_workers, run_layer_tasks, shard_destinations
 from repro.network.graph import Network
 from repro.routing.base import (
     NotApplicableError,
@@ -36,7 +58,7 @@ from repro.routing.base import (
     RoutingError,
     RoutingResult,
 )
-from repro.routing.dor import TorusGeometry, dor_direction
+from repro.routing.dor import TorusGeometry, _dor_columns, _StepTable
 from repro.routing.walk import switch_channel_mask
 from repro.utils.prng import SeedLike
 
@@ -48,166 +70,150 @@ class Torus2QoSConfig:
     """``torus-2qos`` takes no extra configuration."""
 
 
-def _arc_passable(
-    geom: TorusGeometry,
-    coord: Tuple[int, ...],
-    dim: int,
-    direction: int,
-    target_pos: int,
-) -> bool:
-    """Can a packet walk ``coord`` -> target along ``direction``?"""
-    cur = coord
-    for _ in range(geom.dims[dim]):
-        if cur[dim] == target_pos:
-            return True
-        nxt = geom.neighbor_coord(cur, dim, direction)
-        if nxt is None or nxt not in geom.switch_at:
-            return False
-        if not geom.net.csr.channels_between(
-            geom.switch_at[cur], geom.switch_at[nxt]
-        ):
-            return False
-        cur = nxt
-    return cur[dim] == target_pos
+class _DetourSteps(_StepTable):
+    """DOR's step table with Torus-2QoS's fault-aware cell rule."""
+
+    def _open_arcs(self, dim: int) -> Callable[
+            [np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """Passability along ``dim``: a function from switch coordinates
+        ``[n, D]`` to ``(fwd, back)``, each ``bool[t, n]`` — is the
+        ``+1`` / ``-1`` arc from there to ring position ``t`` free of
+        blocked steps?"""
+        dims = tuple(self.geom.dims)
+        size = dims[dim]
+        at = tuple(self.coords[self.switches].T)
+        blocked = np.ones((2,) + dims, dtype=bool)  # missing switches too
+        for bit in (0, 1):
+            blocked[(bit,) + at] = self.counts[:, dim, bit] == 0
+        # each ring (indexed by the other coordinates) along the last
+        # axis, walked twice around so every arc is one contiguous run
+        rings = np.moveaxis(blocked, dim + 1, -1)
+        prefix = np.zeros(rings.shape[:-1] + (2 * size + 1,), dtype=np.int32)
+        np.cumsum(np.concatenate([rings, rings], axis=-1), axis=-1,
+                  out=prefix[..., 1:])
+        other = [i for i in range(len(dims)) if i != dim]
+        t = np.arange(size, dtype=np.int64)[:, None]
+
+        def arcs(coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            ring = tuple(coords[:, other].T)
+            a = coords[:, dim]
+            # +1 steps leave positions a .. t-1, -1 steps t+1 .. a
+            fwd_end = a + (t - a) % size
+            back_start = (t + 1) % size
+            back_end = back_start + (a - t) % size
+            fwd = prefix[(0, *ring, fwd_end)] == prefix[(0, *ring, a)]
+            back = prefix[(1, *ring, back_end)] \
+                == prefix[(1, *ring, back_start)]
+            return fwd, back
+
+        return arcs
+
+    def _direction_cells(self) -> List[np.ndarray]:
+        """Torus-2QoS's cell rule (see the module docstring)."""
+        dims = self.geom.dims
+        here = self.coords[self.switches].astype(np.int64)
+        dead = np.flatnonzero(self.counts.ravel() == 0)
+        cells = []
+        for k in range(len(dims)):
+            arcs = self._open_arcs(k)
+            neg = self._dor_negative(k)
+            fwd, back = arcs(here)
+            preferred = np.where(neg, back, fwd)
+            opposite = np.where(neg, fwd, back)
+            cell = np.where(preferred, self._cell(k, neg),
+                            np.where(opposite, self._cell(k, ~neg), -1))
+            stuck = cell < 0
+            for j in range(k + 1, len(dims)):
+                for bit, step in enumerate((1, -1)):
+                    if not stuck.any():
+                        break
+                    side = here.copy()
+                    side[:, j] = (side[:, j] + step) % dims[j]
+                    side_fwd, side_back = arcs(side)
+                    take = stuck & (self.counts[:, j, bit] > 0) \
+                        & (side_fwd | side_back)
+                    cell = np.where(take, self._cell(j, bit), cell)
+                    stuck &= ~take
+            if stuck.any():  # no detour: a cell with no channel
+                cell[stuck] = dead[0]
+            cells.append(cell)
+        return cells
+
+    def raise_step_error(self, dest: int, node: int) -> None:
+        """Raise the scalar walk's no-detour error for one dead cell."""
+        coord = self.geom.coord_of[node]
+        there = self.geom.coord_of[int(self.home[dest])]
+        dim = next(i for i in range(len(coord)) if coord[i] != there[i])
+        raise RoutingError(
+            f"no detour around dead cell: dim {dim} from {coord} to "
+            f"position {there[dim]}"
+        )
 
 
-def _choose_direction(
-    geom: TorusGeometry,
-    coord: Tuple[int, ...],
-    dim: int,
-    target_pos: int,
-) -> Optional[int]:
-    """Shortest passable ring direction (DOR preference first);
-    None when the arc is blocked both ways (dead target cell)."""
-    preferred = dor_direction(geom.dims[dim], coord[dim], target_pos)
-    for direction in (preferred, -preferred):
-        if _arc_passable(geom, coord, dim, direction, target_pos):
-            return direction
-    return None
+def _ring_fault_check(steps: _StepTable) -> None:
+    """Raise when any torus ring carries more than one failure.
 
-
-def _detour_hop(
-    geom: TorusGeometry,
-    coord: Tuple[int, ...],
-    dim: int,
-    target_pos: int,
-) -> Tuple[int, int]:
-    """Route around a dead dimension-``dim`` target cell.
-
-    OpenSM's Torus-2QoS survives a single failed switch by offsetting
-    the packet one hop in a *later* dimension before finishing the
-    current one; the later dimension is then corrected in its own DOR
-    phase, so every dimension still sees one monotone segment and the
-    detour stays consistent per ``(node, destination)``.  Returns
-    ``(detour_dim, direction)``.
+    A failure is a missing switch, or a missing link from a surviving
+    switch to its surviving ``+1`` neighbour.  Rings are checked by
+    dimension, then by the other coordinates in lexicographic order.
     """
-    for j in range(dim + 1, geom.n_dims):
-        for dj in (+1, -1):
-            side = geom.neighbor_coord(coord, j, dj)
-            if side is None or side not in geom.switch_at:
-                continue
-            if not geom.net.csr.channels_between(
-                geom.switch_at[coord], geom.switch_at[side]
-            ):
-                continue
-            if _choose_direction(geom, side, dim, target_pos) is not None:
-                return j, dj
-    raise RoutingError(
-        f"no detour around dead cell: dim {dim} from {coord} to "
-        f"position {target_pos}"
-    )
-
-
-def _t2qos_columns(net: Network, dest_shard: Sequence[int]) -> np.ndarray:
-    """Worker: Torus-2QoS forwarding columns for one destination shard.
-
-    Pure per destination (the fault-bypass decisions read only the
-    static geometry), so sharding is bit-identical to serial.  The
-    caller has already run the ring double-fault check.
-    """
-    geom = TorusGeometry(net)
-    block = np.full((net.n_nodes, len(dest_shard)), -1, dtype=np.int32)
-    for jj, d in enumerate(dest_shard):
-        d_switch = d if net.is_switch(d) else net.terminal_switch(d)
-        d_coord = geom.coord_of[d_switch]
-        for node in range(net.n_nodes):
-            if node == d:
-                continue
-            if net.is_terminal(node):
-                block[node, jj] = net.csr.injection_channel[node]
-                continue
-            if node == d_switch:
-                chans = net.csr.channels_between(node, d)
-                block[node, jj] = chans[0] if chans else -1
-                continue
-            coord = geom.coord_of[node]
-            dim = next(
-                i for i in range(geom.n_dims) if coord[i] != d_coord[i]
+    dims = tuple(steps.geom.dims)
+    at = tuple(steps.coords[steps.switches].T)
+    exists = np.zeros(dims, dtype=bool)
+    exists[at] = True
+    for dim in range(len(dims)):
+        cut = np.zeros(dims, dtype=bool)
+        cut[at] = steps.counts[:, dim, 0] == 0
+        cut &= np.roll(exists, -1, axis=dim)  # not a missing neighbour
+        faults = (~exists | cut).sum(axis=dim)
+        over = np.flatnonzero(faults.ravel() > 1)
+        if len(over):
+            rest = tuple(int(i) for i in
+                         np.unravel_index(over[0], faults.shape))
+            raise RoutingError(
+                f"Torus-2QoS cannot route: {faults.ravel()[over[0]]} "
+                f"failures in one ring (dim {dim}, fixed coords {rest})"
             )
-            direction = _choose_direction(geom, coord, dim, d_coord[dim])
-            if direction is not None:
-                block[node, jj] = geom.step_channel(
-                    node, dim, direction, select=d
-                )
-            else:
-                # the dim's target cell is the failed switch: hop one
-                # position in a later dimension, then continue
-                jdim, jdir = _detour_hop(geom, coord, dim, d_coord[dim])
-                block[node, jj] = geom.step_channel(
-                    node, jdim, jdir, select=d
-                )
-    return block
+
+
+def _datelines(net: Network, coords: np.ndarray) -> Tuple[np.ndarray,
+                                                           np.ndarray]:
+    """Per channel: torus dimension it moves along (-1 for terminal
+    channels) and whether its head sits at ring position 0 there."""
+    dim_of = np.full(net.n_channels, -1, dtype=np.int8)
+    lands_on_zero = np.zeros(net.n_channels, dtype=bool)
+    c = np.flatnonzero(switch_channel_mask(net))
+    head = coords[net.csr.channel_dst[c]]
+    dim = (coords[net.csr.channel_src[c]] != head).argmax(axis=1)
+    dim_of[c] = dim
+    lands_on_zero[c] = head[np.arange(len(c)), dim] == 0
+    return dim_of, lands_on_zero
 
 
 class TorusQoSResult(RoutingResult):
     """Routing result with per-hop dateline VL transitions."""
 
-    geometry: "TorusGeometry"
-
-    def path_vls(self, src: int, dest: int) -> List[int]:
-        """Virtual layer of each hop of the route ``src -> dest``.
-
-        A hop uses VL 1 when the packet already visited ring position 0
-        of the dimension it is currently traversing; terminal
-        injection/ejection hops and inter-dimension turns reset to the
-        new dimension's state.
-        """
-        geom = self.geometry
-        net = self.net
-        vls: List[int] = []
-        passed_zero = [False] * geom.n_dims
-        for c in self.path(src, dest):
-            u, v = net.endpoints(c)
-            if net.is_switch(u) and net.is_switch(v):
-                cu, cv = geom.coord_of[u], geom.coord_of[v]
-                dim = next(
-                    i for i in range(geom.n_dims) if cu[i] != cv[i]
-                )
-                # VL1 once the packet has *arrived* at ring position 0
-                # of this dimension (starting a dim at 0 is not a
-                # crossing — the packet never wrapped).
-                vls.append(1 if passed_zero[dim] else 0)
-                if cv[dim] == 0:
-                    passed_zero[dim] = True
-            else:
-                vls.append(0)  # terminal hop, never on a cycle
-        return vls
+    #: :func:`_datelines` of the routed network
+    datelines: Tuple[np.ndarray, np.ndarray]
 
     def _hop_vls(self, src: np.ndarray, col: np.ndarray,
                  ptr: np.ndarray, channel: np.ndarray) -> np.ndarray:
-        """The dateline rule of :meth:`path_vls` over flat route arrays.
+        """The dateline rule over flat route arrays.
 
-        "Already arrived at ring position 0 of this dimension" is a
-        running count along each route, i.e. a cumulative sum taken
-        relative to its value at the route's first hop.
+        A hop uses VL 1 when the packet already *arrived* at ring
+        position 0 of the dimension it is currently traversing
+        (starting a dimension at 0 is not a crossing — the packet never
+        wrapped); terminal injection/ejection hops use VL 0.  "Already
+        arrived" is a running count along each route, i.e. a cumulative
+        sum taken relative to its value at the route's first hop.
         """
         vls = np.zeros(channel.size, dtype=np.int8)
         if channel.size == 0:
             return vls
-        dim_of, lands_on_zero = self._datelines()
+        dim_of, lands_on_zero = self.datelines
         hop_dim = dim_of[channel]
         first_hop = np.repeat(ptr[:-1], np.diff(ptr))
-        for dim in range(self.geometry.n_dims):
+        for dim in range(int(dim_of.max(initial=-1)) + 1):
             in_dim = hop_dim == dim
             arrival = in_dim & lands_on_zero[channel]
             # arrivals before each hop, counted from the array's start
@@ -215,26 +221,13 @@ class TorusQoSResult(RoutingResult):
             vls[in_dim & (before > before[first_hop])] = 1
         return vls
 
-    def _datelines(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per channel: torus dimension it moves along (-1 for terminal
-        channels) and whether its head sits at ring position 0 there."""
-        cached = getattr(self, "_dateline_arrays", None)
-        if cached is None:
-            geom, net = self.geometry, self.net
-            dim_of = np.full(net.n_channels, -1, dtype=np.int8)
-            lands_on_zero = np.zeros(net.n_channels, dtype=bool)
-            for c in np.flatnonzero(switch_channel_mask(net)).tolist():
-                u, v = net.endpoints(c)
-                cu, cv = geom.coord_of[u], geom.coord_of[v]
-                dim = next(i for i in range(geom.n_dims) if cu[i] != cv[i])
-                dim_of[c] = dim
-                lands_on_zero[c] = cv[dim] == 0
-            cached = self._dateline_arrays = (dim_of, lands_on_zero)
-        return cached
-
 
 class Torus2QoSRouting(RoutingAlgorithm):
-    """Fault-tolerant dateline DOR for generated tori (2 data VLs)."""
+    """Fault-tolerant dateline DOR for generated tori (2 data VLs).
+
+    ``workers`` is accepted for API uniformity and unused: the columns
+    are DOR's array pass in this process (see the module docstring).
+    """
 
     name = "torus-2qos"
 
@@ -244,65 +237,22 @@ class Torus2QoSRouting(RoutingAlgorithm):
         if max_vls < 2:
             raise ValueError("Torus-2QoS needs at least 2 VLs")
 
-    # -- fault analysis ---------------------------------------------------------
-
-    @staticmethod
-    def _ring_fault_check(geom: TorusGeometry) -> None:
-        """Raise when any torus ring carries more than one failure."""
-        from itertools import product
-
-        dims = geom.dims
-        for dim in range(len(dims)):
-            other_axes = [
-                range(size) for i, size in enumerate(dims) if i != dim
-            ]
-            for rest in product(*other_axes):
-                faults = 0
-                for pos in range(dims[dim]):
-                    coord = list(rest)
-                    coord.insert(dim, pos)
-                    coord_t = tuple(coord)
-                    if not geom.position_exists(coord_t):
-                        faults += 1
-                        continue
-                    nxt = geom.neighbor_coord(coord_t, dim, +1)
-                    if nxt is None:
-                        continue
-                    if nxt in geom.switch_at and not geom.net.csr.channels_between(
-                        geom.switch_at[coord_t], geom.switch_at[nxt]
-                    ):
-                        faults += 1
-                if faults > 1:
-                    raise RoutingError(
-                        f"Torus-2QoS cannot route: {faults} failures in one "
-                        f"ring (dim {dim}, fixed coords {rest})"
-                    )
-
-    # -- routing ----------------------------------------------------------------
-
     def _route(
         self, net: Network, dests: List[int], seed: SeedLike
     ) -> RoutingResult:
         geom = TorusGeometry(net)
         if not geom.wraparound:
             raise NotApplicableError("Torus-2QoS requires a torus")
-        self._ring_fault_check(geom)
-        nxt, vl = self._empty_tables(net, dests)
-        workers = resolve_workers(self.workers, len(dests))
-        shards = shard_destinations(dests, workers)
-        blocks = run_layer_tasks(_t2qos_columns, net, shards,
-                                 workers=workers)
-        col = 0
-        for block in blocks:
-            nxt[:, col:col + block.shape[1]] = block
-            col += block.shape[1]
+        steps = _DetourSteps(geom)
+        _ring_fault_check(steps)
+        next_channel = _dor_columns(steps, dests)
         result = TorusQoSResult(
             net=net,
             dests=dests,
-            next_channel=nxt,
-            vl=vl,
+            next_channel=next_channel,
+            vl=np.zeros(next_channel.shape, dtype=np.int8),
             n_vls=2,
             algorithm=self.name,
         )
-        result.geometry = geom
+        result.datelines = _datelines(net, steps.coords)
         return result

@@ -207,14 +207,6 @@ class UpDownRouting(RoutingAlgorithm):
     def cache_config(self):
         return (self.max_vls, self.root)
 
-    def _order_key(self, levels: np.ndarray, node: int) -> Tuple[int, int]:
-        return (int(levels[node]), node)
-
-    def _is_down_hop(self, levels: np.ndarray, u: int, v: int) -> bool:
-        """True when hop ``u -> v`` moves *away* from the root."""
-        away = self._order_key(levels, v) > self._order_key(levels, u)
-        return not away if self._down_first else away
-
     def _route(
         self, net: Network, dests: List[int], seed: SeedLike
     ) -> RoutingResult:

@@ -4,10 +4,11 @@ For arbitrary connected multigraphs and every registered algorithm —
 column-constant VLs (nue, updn), per-pair lanes (dfsssp, lash), per-hop
 datelines (torus-2qos on tori), cyclic tables (dor, minhop) — the
 walk's hop counts, channel sequences and per-hop VLs must equal
-``path()`` / ``path_vls()`` pair by pair, the lifted dependency graph
-must equal the dict a scalar double loop builds (insertion order
-included: the cycle witness depends on it), and the Kahn verdict must
-agree with networkx.
+``path()`` and a test-side scalar VL rule pair by pair (so must
+``path_vls()``, which is ``_hop_vls`` over one route), the lifted
+dependency graph must equal the dict a scalar double loop builds
+(insertion order included: the cycle witness depends on it), and the
+Kahn verdict must agree with networkx.
 """
 
 import networkx as nx
@@ -26,21 +27,56 @@ from repro.metrics.deadlock import (
     induced_vc_dependencies,
 )
 from repro.metrics.validate import ValidationError
-from repro.network.topologies import random_topology, torus
+from repro.network.topologies import (
+    random_topology,
+    torus,
+    torus_coordinates,
+)
 from repro.routing import RoutingError, available_algorithms, make_algorithm
 from repro.routing.walk import walk
+
+
+def scalar_vl_rule(result):
+    """``(s, d) -> per-hop VLs of path(s, d)`` from the route alone,
+    independent of the result's own ``path_vls``/``_hop_vls``:
+    Torus-2QoS's dateline rule (VL 1 once the packet has arrived at
+    ring position 0 of the dimension it is traversing), else the
+    pair's one layer."""
+    net = result.net
+    if result.algorithm != "torus-2qos":
+        return lambda s, d: [int(result.vl[s, result.dest_index(d)])] \
+            * len(result.path(s, d))
+    dims, coords = torus_coordinates(net)
+
+    def datelines(s, d):
+        vls = []
+        passed_zero = [False] * len(dims)
+        for c in result.path(s, d):
+            u, v = net.endpoints(c)
+            if not (net.is_switch(u) and net.is_switch(v)):
+                vls.append(0)  # terminal hop, never on a cycle
+                continue
+            cu, cv = coords[u], coords[v]
+            dim = next(i for i in range(len(dims)) if cu[i] != cv[i])
+            vls.append(1 if passed_zero[dim] else 0)
+            if cv[dim] == 0:
+                passed_zero[dim] = True
+        return vls
+
+    return datelines
 
 
 def scalar_vc_dependencies(result, sources=None):
     """The pre-walk ``induced_vc_dependencies``: one ``path()`` per pair."""
     net = result.net
+    path_vls = scalar_vl_rule(result)
     adj = {}
     for d in result.dests:
         for s in (net.switches if sources is None else sources):
             if s == d:
                 continue
             prev = None
-            for c, v in zip(result.path(s, d), result.path_vls(s, d)):
+            for c, v in zip(result.path(s, d), path_vls(s, d)):
                 u, w = net.endpoints(c)
                 if net.is_switch(u) and net.is_switch(w):
                     node = (c, v)
@@ -55,6 +91,7 @@ def scalar_vc_dependencies(result, sources=None):
 
 def assert_walk_matches_scalar(result):
     net = result.net
+    path_vls = scalar_vl_rule(result)
     for blk in walk(net, result.next_channel, result.dests,
                     range(net.n_nodes)):
         ptr, chan = blk.paths()
@@ -64,7 +101,9 @@ def assert_walk_matches_scalar(result):
             path = result.path(s, d)
             assert blk.hops[p] == len(path)
             assert chan[ptr[p]:ptr[p + 1]].tolist() == path
-            assert vls[ptr[p]:ptr[p + 1]].tolist() == result.path_vls(s, d)
+            want = path_vls(s, d)
+            assert vls[ptr[p]:ptr[p + 1]].tolist() == want
+            assert result.path_vls(s, d) == want
 
     reference = scalar_vc_dependencies(result)
     lifted = induced_vc_dependencies(result)

@@ -28,7 +28,6 @@ class TestGeometry:
         assert len(geom.coord_of) == 12
         for s, c in geom.coord_of.items():
             assert geom.switch_at[c] == s
-            assert geom.position_exists(c)
 
     def test_neighbor_wraps_on_torus(self):
         net = torus([3, 3])
